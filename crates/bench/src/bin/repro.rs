@@ -12,66 +12,10 @@
 //!                                # KS-vs-memory for any algorithm mix,
 //!                                # selected by name through the AlgoSpec
 //!                                # registry
-//! repro serve [--shards N] [--writers 1,2,4,8] [--algos DC]
-//!                                # multi-writer catalog replay: ingestion
-//!                                # throughput + final KS for the
-//!                                # single-RwLock, sharded-locks and
-//!                                # sharded-channels serving designs,
-//!                                # all through one &dyn ColumnStore path
-//! repro serve --json             # same, as machine-readable JSON on
-//!                                # stdout (CI uploads it as the
-//!                                # BENCH_serve.json artifact)
-//! repro serve --reshard [--skew S]
-//!                                # Zipf-skewed replay comparing the
-//!                                # static equal-width shard plan against
-//!                                # dynamic re-sharding: throughput,
-//!                                # max/mean shard-load balance, KS
-//! repro serve --read-mix [--readers 1,2,4,8]
-//!                                # reader-heavy replay: R readers hammer
-//!                                # the wait-free hot path while one
-//!                                # writer commits — estimate throughput
-//!                                # + front-cache hit rate per design
-//! repro serve --durable [--wal-dir DIR]
-//!                                # WAL-backed replay: the same designs
-//!                                # behind DurableStore — durable ingest
-//!                                # throughput + crash-recovery replay
-//!                                # throughput (store dropped, changelog
-//!                                # reopened and timed); --wal-dir keeps
-//!                                # the changelogs for inspection
-//! repro serve --replicas 1,2,4 [--lag-target E]
-//!                                # replication replay: R dh_replica
-//!                                # followers tail a committing durable
-//!                                # leader's changelog and serve the read
-//!                                # mix — follower estimate throughput +
-//!                                # mean/max reported staleness (and the
-//!                                # fraction of samples above E epochs),
-//!                                # with bit-identity spot checks against
-//!                                # the leader's retained generations
-//! repro serve --autoscale        # elastic replay: one AutoscalePolicy-
-//!                                # armed sharded column walks a warm →
-//!                                # Zipf-burst → idle load cycle; the
-//!                                # report tracks the live shard count
-//!                                # doubling to the policy cap under the
-//!                                # burst and halving back once idle,
-//!                                # each step an epoch-barrier rebuild
-//! repro serve --sites 1,2,4 [--kill K] [--strategy HU|UH]
-//!                                # multi-site replay: for every count N a
-//!                                # read-only GlobalCatalog composes one
-//!                                # in-process member per design with N-1
-//!                                # socket-remote SiteServers, fed over
-//!                                # the wire — composition throughput,
-//!                                # composed KS vs the pooled truth and
-//!                                # the site-probe failure fraction;
-//!                                # --kill stops K remote members and adds
-//!                                # the degraded-accuracy figure
 //! ```
 
-use dh_bench::{
-    all_figure_ids, run_autoscale, run_custom, run_durable, run_figure, run_read_mix, run_replicas,
-    run_reshard, run_serve, run_sites, RunOptions, ServeConfig,
-};
+use dh_bench::{all_figure_ids, run_custom, run_figure, RunOptions};
 use dh_catalog::AlgoSpec;
-use dh_distributed::GlobalStrategy;
 use dh_gen::workload::WorkloadKind;
 use std::io::Write;
 use std::path::PathBuf;
@@ -80,11 +24,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--seeds N] [--scale F] [--out DIR] [--list] [figN...|all]\n\
          \x20      repro custom --algos LIST [--workload random|sorted] [options]\n\
-         \x20      repro serve [--shards N] [--writers LIST] [--algos SPEC] [--json]\n\
-         \x20                  [--reshard] [--skew S] [--read-mix] [--readers LIST]\n\
-         \x20                  [--durable] [--wal-dir DIR] [--replicas LIST]\n\
-         \x20                  [--lag-target E] [--sites LIST] [--kill K]\n\
-         \x20                  [--strategy HU|UH] [--autoscale] [options]\n\
          (no figure list means all figures; beware that without --quick this\n\
          is the paper-scale run. --algos takes paper legend names, e.g.\n\
          DC,DVO,DADO,AC20X,EquiWidth,EquiDepth,SC,SVO,SADO,SSBM)"
@@ -104,22 +43,6 @@ fn main() {
     let mut out_dir: Option<PathBuf> = None;
     let mut figures: Vec<String> = Vec::new();
     let mut custom = false;
-    let mut serve = false;
-    let mut json = false;
-    let mut reshard = false;
-    let mut read_mix = false;
-    let mut durable = false;
-    let mut autoscale = false;
-    let mut wal_dir: Option<PathBuf> = None;
-    let mut replicas: Option<Vec<usize>> = None;
-    let mut lag_target: Option<u64> = None;
-    let mut sites: Option<Vec<usize>> = None;
-    let mut kill: Option<usize> = None;
-    let mut strategy: Option<GlobalStrategy> = None;
-    let mut skew: Option<f64> = None;
-    let mut shards: Option<usize> = None;
-    let mut writers: Option<Vec<usize>> = None;
-    let mut readers: Option<Vec<usize>> = None;
     let mut algos: Vec<AlgoSpec> = Vec::new();
     let mut workload: Option<WorkloadKind> = None;
     let mut it = args.into_iter();
@@ -127,73 +50,6 @@ fn main() {
         match arg.as_str() {
             "--quick" => quick = true,
             "custom" => custom = true,
-            "serve" => serve = true,
-            "--json" => json = true,
-            "--reshard" => reshard = true,
-            "--read-mix" => read_mix = true,
-            "--durable" => durable = true,
-            "--autoscale" => autoscale = true,
-            "--wal-dir" => {
-                wal_dir = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())));
-            }
-            "--replicas" => {
-                let list = it.next().unwrap_or_else(|| usage());
-                replicas = Some(
-                    list.split(',')
-                        .map(|r| r.parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                );
-            }
-            "--lag-target" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                lag_target = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--sites" => {
-                let list = it.next().unwrap_or_else(|| usage());
-                sites = Some(
-                    list.split(',')
-                        .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                );
-            }
-            "--kill" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                kill = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--strategy" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                match v.parse::<GlobalStrategy>() {
-                    Ok(s) => strategy = Some(s),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        usage();
-                    }
-                }
-            }
-            "--readers" => {
-                let list = it.next().unwrap_or_else(|| usage());
-                readers = Some(
-                    list.split(',')
-                        .map(|r| r.parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                );
-            }
-            "--skew" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                skew = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--shards" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                shards = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--writers" => {
-                let list = it.next().unwrap_or_else(|| usage());
-                writers = Some(
-                    list.split(',')
-                        .map(|w| w.parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                );
-            }
             "--algos" => {
                 let list = it.next().unwrap_or_else(|| usage());
                 for name in list.split(',') {
@@ -247,316 +103,6 @@ fn main() {
     }
     if let Some(s) = scale {
         opts.scale = s;
-    }
-
-    // `serve` replays a generated workload through the three catalog
-    // ingestion designs with concurrent writers.
-    if serve {
-        if custom || !figures.is_empty() {
-            eprintln!("serve mode and custom/figure runs are mutually exclusive");
-            usage();
-        }
-        if algos.len() > 1 {
-            eprintln!("serve mode takes a single --algos spec");
-            usage();
-        }
-        if workload.is_some() {
-            eprintln!("--workload only applies to custom mode (serve replays random insertions)");
-            usage();
-        }
-        let mut cfg = ServeConfig::default();
-        if let Some(s) = shards {
-            cfg.shards = s.max(1);
-        }
-        if let Some(&spec) = algos.first() {
-            cfg.spec = spec;
-        }
-        cfg.skew = skew;
-        let writers = writers.unwrap_or_else(|| vec![1, 2, 4, 8]);
-        let t0 = std::time::Instant::now();
-        if let Some(sites) = &sites {
-            if reshard || read_mix || durable || autoscale || replicas.is_some() {
-                eprintln!(
-                    "--sites is mutually exclusive with \
-                     --reshard/--read-mix/--durable/--autoscale/--replicas"
-                );
-                usage();
-            }
-            if readers.is_some() || wal_dir.is_some() || lag_target.is_some() {
-                eprintln!("--readers/--wal-dir/--lag-target do not apply to serve --sites");
-                usage();
-            }
-            // Multi-site replay: a GlobalCatalog composes one in-process
-            // member per design with N-1 socket-remote sites, optionally
-            // killing some to measure degraded reads.
-            eprint!("running serve --sites ... ");
-            std::io::stderr().flush().ok();
-            let report = run_sites(
-                cfg,
-                sites,
-                kill.unwrap_or(0),
-                strategy.unwrap_or(GlobalStrategy::HistogramThenUnion),
-                opts,
-            );
-            eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                println!("{}", report.to_markdown());
-            }
-            if let Some(dir) = &out_dir {
-                std::fs::create_dir_all(dir).expect("create output directory");
-                let mut figs = vec![&report.throughput, &report.accuracy, &report.health];
-                if let Some(degraded) = &report.degraded {
-                    figs.push(degraded);
-                }
-                for fig in figs {
-                    let path = dir.join(format!("{}.csv", fig.id));
-                    std::fs::write(&path, fig.to_csv())
-                        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                    eprintln!("wrote {}", path.display());
-                }
-                let path = dir.join("sites.json");
-                std::fs::write(&path, report.to_json())
-                    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                eprintln!("wrote {}", path.display());
-            }
-            return;
-        }
-        if kill.is_some() || strategy.is_some() {
-            eprintln!("--kill/--strategy only apply to serve --sites");
-            usage();
-        }
-        if let Some(replicas) = &replicas {
-            if reshard || read_mix || durable || autoscale {
-                eprintln!(
-                    "--replicas is mutually exclusive with \
-                     --reshard/--read-mix/--durable/--autoscale"
-                );
-                usage();
-            }
-            if readers.is_some() || wal_dir.is_some() {
-                eprintln!("--readers/--wal-dir do not apply to serve --replicas");
-                usage();
-            }
-            // Replication replay: followers tail the committing leader's
-            // changelog, serve the read mix, and report their staleness.
-            eprint!("running serve --replicas ... ");
-            std::io::stderr().flush().ok();
-            let report = run_replicas(cfg, replicas, opts, lag_target);
-            eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                println!("{}", report.to_markdown());
-            }
-            if let Some(dir) = &out_dir {
-                std::fs::create_dir_all(dir).expect("create output directory");
-                let mut figs = vec![&report.throughput, &report.lag_mean, &report.lag_max];
-                if let Some(misses) = &report.lag_misses {
-                    figs.push(misses);
-                }
-                for fig in figs {
-                    let path = dir.join(format!("{}.csv", fig.id));
-                    std::fs::write(&path, fig.to_csv())
-                        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                    eprintln!("wrote {}", path.display());
-                }
-                let path = dir.join("replicas.json");
-                std::fs::write(&path, report.to_json())
-                    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                eprintln!("wrote {}", path.display());
-            }
-            return;
-        }
-        if lag_target.is_some() {
-            eprintln!("--lag-target only applies to serve --replicas");
-            usage();
-        }
-        if durable {
-            if reshard || read_mix || autoscale {
-                eprintln!("--durable is mutually exclusive with --reshard/--read-mix/--autoscale");
-                usage();
-            }
-            if readers.is_some() {
-                eprintln!("--readers only applies to serve --read-mix");
-                usage();
-            }
-            // WAL-backed replay: durable ingest throughput plus a timed
-            // crash-recovery reopen of the changelog per design.
-            eprint!("running serve --durable ... ");
-            std::io::stderr().flush().ok();
-            let report = run_durable(cfg, &writers, opts, wal_dir.as_deref());
-            eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                println!("{}", report.to_markdown());
-            }
-            if let Some(dir) = &out_dir {
-                std::fs::create_dir_all(dir).expect("create output directory");
-                for fig in [&report.throughput, &report.recovery] {
-                    let path = dir.join(format!("{}.csv", fig.id));
-                    std::fs::write(&path, fig.to_csv())
-                        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                    eprintln!("wrote {}", path.display());
-                }
-                let path = dir.join("durable.json");
-                std::fs::write(&path, report.to_json())
-                    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                eprintln!("wrote {}", path.display());
-            }
-            return;
-        }
-        if wal_dir.is_some() {
-            eprintln!("--wal-dir only applies to serve --durable");
-            usage();
-        }
-        if read_mix {
-            if reshard || autoscale {
-                eprintln!("--read-mix is mutually exclusive with --reshard/--autoscale");
-                usage();
-            }
-            // Reader-heavy mix: R readers on the wait-free hot path, one
-            // writer committing — estimate throughput + cache hit rate.
-            let readers = readers.unwrap_or_else(|| vec![1, 2, 4, 8]);
-            eprint!("running serve --read-mix ... ");
-            std::io::stderr().flush().ok();
-            let report = run_read_mix(cfg, &readers, opts);
-            eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                println!("{}", report.to_markdown());
-            }
-            if let Some(dir) = &out_dir {
-                std::fs::create_dir_all(dir).expect("create output directory");
-                for fig in [&report.throughput, &report.hit_rate] {
-                    let path = dir.join(format!("{}.csv", fig.id));
-                    std::fs::write(&path, fig.to_csv())
-                        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                    eprintln!("wrote {}", path.display());
-                }
-                let path = dir.join("read_mix.json");
-                std::fs::write(&path, report.to_json())
-                    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                eprintln!("wrote {}", path.display());
-            }
-            return;
-        }
-        if readers.is_some() {
-            eprintln!("--readers only applies to serve --read-mix");
-            usage();
-        }
-        if autoscale {
-            if reshard {
-                eprintln!("--autoscale and --reshard are mutually exclusive");
-                usage();
-            }
-            // Elastic replay: an AutoscalePolicy-armed column walks a
-            // warm → burst → idle load cycle; the report records the
-            // live shard count after every commit.
-            eprint!("running serve --autoscale ... ");
-            std::io::stderr().flush().ok();
-            let report = run_autoscale(cfg, opts);
-            eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                println!("{}", report.to_markdown());
-            }
-            if let Some(dir) = &out_dir {
-                std::fs::create_dir_all(dir).expect("create output directory");
-                for fig in [&report.shards, &report.throughput] {
-                    let path = dir.join(format!("{}.csv", fig.id));
-                    std::fs::write(&path, fig.to_csv())
-                        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                    eprintln!("wrote {}", path.display());
-                }
-                let path = dir.join("autoscale.json");
-                std::fs::write(&path, report.to_json())
-                    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                eprintln!("wrote {}", path.display());
-            }
-            return;
-        }
-        if reshard {
-            // Static equal-width borders vs dynamic re-sharding on a
-            // Zipf-skewed replay: throughput + shard balance + KS.
-            eprint!("running serve --reshard ... ");
-            std::io::stderr().flush().ok();
-            let report = run_reshard(cfg, &writers, opts);
-            eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                println!("{}", report.to_markdown());
-            }
-            if let Some(dir) = &out_dir {
-                std::fs::create_dir_all(dir).expect("create output directory");
-                for fig in [&report.throughput, &report.balance, &report.accuracy] {
-                    let path = dir.join(format!("{}.csv", fig.id));
-                    std::fs::write(&path, fig.to_csv())
-                        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                    eprintln!("wrote {}", path.display());
-                }
-                let path = dir.join("reshard.json");
-                std::fs::write(&path, report.to_json())
-                    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                eprintln!("wrote {}", path.display());
-            }
-            return;
-        }
-        eprint!("running serve ... ");
-        std::io::stderr().flush().ok();
-        let report = run_serve(cfg, &writers, opts);
-        eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
-        if json {
-            // Machine-readable: one JSON document on stdout (redirect to
-            // a file for the BENCH_serve.json CI artifact).
-            print!("{}", report.to_json());
-        } else {
-            println!("{}", report.to_markdown());
-        }
-        if let Some(dir) = &out_dir {
-            std::fs::create_dir_all(dir).expect("create output directory");
-            for fig in [&report.throughput, &report.accuracy] {
-                let path = dir.join(format!("{}.csv", fig.id));
-                std::fs::write(&path, fig.to_csv())
-                    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                eprintln!("wrote {}", path.display());
-            }
-            let path = dir.join("serve.json");
-            std::fs::write(&path, report.to_json())
-                .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-            eprintln!("wrote {}", path.display());
-        }
-        return;
-    }
-    if shards.is_some()
-        || writers.is_some()
-        || reshard
-        || skew.is_some()
-        || read_mix
-        || readers.is_some()
-        || durable
-        || autoscale
-        || wal_dir.is_some()
-        || replicas.is_some()
-        || lag_target.is_some()
-        || sites.is_some()
-        || kill.is_some()
-        || strategy.is_some()
-    {
-        eprintln!(
-            "--shards/--writers/--reshard/--skew/--read-mix/--readers/--durable/--autoscale/\
-             --wal-dir/--replicas/--lag-target/--sites/--kill/--strategy only apply to serve mode"
-        );
-        usage();
-    }
-    if json {
-        eprintln!("--json only applies to serve mode");
-        usage();
     }
 
     // `custom` bypasses the figure registry: any algorithm mix, selected

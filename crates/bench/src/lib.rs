@@ -11,21 +11,6 @@
 //!   `repro` binary and the Criterion benches, and the free-form
 //!   [`run_custom`] experiment.
 //!
-//! * [`serve`] — catalog-level workload replay: multi-writer ingestion
-//!   through the single-lock `Catalog`, the per-shard-locked
-//!   `ShardedCatalog` and its MPSC-worker variant, reporting throughput
-//!   and final estimation error (the `repro serve` mode and the
-//!   `contention` bench), plus the `--reshard` replay comparing static
-//!   versus dynamically re-balanced shard borders on a Zipf-skewed
-//!   stream, the `--read-mix` replay measuring wait-free hot-path
-//!   estimate serving (and front-cache hit rate) under a live committing
-//!   writer, and the `--durable` replay measuring WAL-backed ingestion
-//!   and crash-recovery replay throughput through `DurableStore`, and
-//!   the `--replicas` replay racing `dh_replica` followers against a
-//!   committing durable leader — follower estimate throughput, reported
-//!   staleness, and bit-identity spot checks against the leader's
-//!   retained generations.
-//!
 //! The `repro` binary regenerates any or all figures as CSV files and a
 //! markdown summary, and runs custom algorithm mixes selected by name
 //! through the registry:
@@ -34,8 +19,10 @@
 //! cargo run --release -p dh_bench --bin repro -- all --out results
 //! cargo run --release -p dh_bench --bin repro -- fig5 fig8 --seeds 10
 //! cargo run --release -p dh_bench --bin repro -- custom --algos DC,SVO,AC40X
-//! cargo run --release -p dh_bench --bin repro -- serve --shards 8 --writers 1,2,4,8
 //! ```
+//!
+//! Serving performance (the catalog, WAL, replicas and sites) is
+//! measured by the separate `perfbench` package at the repository root.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -43,14 +30,7 @@
 pub mod algos;
 pub mod figures;
 pub mod harness;
-pub mod serve;
 
 pub use algos::{DynamicAlgo, StaticAlgo};
 pub use figures::{all_figure_ids, run_custom, run_figure};
 pub use harness::{FigureResult, RunOptions, Series};
-pub use serve::{
-    ingest, load_balance, run_autoscale, run_durable, run_read_mix, run_replicas, run_reshard,
-    run_serve, run_sites, AutoscaleReport, DurableReport, ReadMixReport, ReplicaReport,
-    ReshardReport, ServeConfig, ServeDesign, ServeReport, Serving, SitesReport, AUTOSCALE_POLICY,
-    DURABLE_OPTIONS, PROBES_PER_ROUND, REPLICA_OPTIONS, RESHARD_POLICY,
-};

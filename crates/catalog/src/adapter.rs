@@ -10,7 +10,7 @@
 //! cached until the next update.
 //!
 //! This is what lets `AlgoSpec::build` return one `BoxedHistogram`
-//! currency for all ten algorithms, and what a [`crate::Catalog`] column
+//! currency for all ten algorithms, and what a [`crate::ShardedCatalog`] shard
 //! uses when it is configured with a static algorithm.
 
 use dh_core::{BucketSpan, DataDistribution, DynHistogram, ReadHistogram};

@@ -1,5 +1,5 @@
 //! [`DurableStore`]: crash durability and time travel as a decorator
-//! over any [`ColumnStore`].
+//! over the [`ShardedCatalog`].
 //!
 //! The epoch-stamped commit pipeline already produces a totally-ordered
 //! sequence of atomic state transitions; this module writes that
@@ -20,8 +20,7 @@
 //! reconcile at recovery). Two deliberate consequences:
 //!
 //! * concurrent writers behind one `DurableStore` no longer overlap
-//!   their publishes (the durability cost the `--durable` bench arm
-//!   measures);
+//!   their publishes (part of the commit cost perfbench measures);
 //! * automatic re-sharding and autoscaling move from the inner store to
 //!   the decorator: [`DurableStore::open`] strips any [`ReshardPolicy`]
 //!   or [`AutoscalePolicy`] out of the configs it registers inside and
@@ -53,16 +52,14 @@
 //! keep serving, and reopening the directory recovers to the last
 //! durable state.
 
-use crate::catalog::{CatalogError, Snapshot};
 use crate::read::ReadStats;
 use crate::sharded::{
     spread_inserts, AutoscalePolicy, ColumnShape, RebuildPlan, ReshardPolicy, ShardPlan,
     ShardedCatalog,
 };
 use crate::spec::AlgoSpec;
-use crate::store::{ColumnConfig, ColumnStore, SnapshotSet};
-use crate::txn::{DirectRestore, RestoreColumn, WriteBatch};
-use crate::Catalog;
+use crate::store::{CatalogError, ColumnConfig, ColumnStore, Snapshot, SnapshotSet};
+use crate::txn::{RestoreColumn, WriteBatch};
 use dh_core::{BucketSpan, MemoryBudget, ReadHistogram, UpdateOp};
 use dh_wal::segment::{
     checkpoint_epochs, latest_checkpoint, write_checkpoint, Checkpoint, CheckpointColumn, Wal,
@@ -76,18 +73,14 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::sharded::IngestMode;
-
-/// Which inner store design a durable directory belongs to. Stamped
-/// into every segment and checkpoint header so a directory can never be
-/// silently replayed into the wrong design.
+/// Which store design a durable directory belongs to. Stamped into
+/// every segment and checkpoint header so a directory can never be
+/// silently replayed into the wrong design. One design remains; tag 1
+/// (a retired single-lock store) is refused on open with
+/// [`WalError::StoreKindMismatch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreKind {
-    /// [`Catalog`] — one cell per column behind a single lock.
-    Single,
-    /// [`ShardedCatalog`] — value-partitioned shards; whether a column
-    /// ingests locked or through channel workers is carried per column
-    /// by its [`ShardPlan`], so both sharded designs share this kind.
+    /// [`ShardedCatalog`] — value-partitioned shards.
     Sharded,
 }
 
@@ -97,7 +90,6 @@ impl StoreKind {
     /// reader so it refuses a directory of the wrong design.
     pub fn tag(self) -> u8 {
         match self {
-            StoreKind::Single => 1,
             StoreKind::Sharded => 2,
         }
     }
@@ -225,8 +217,8 @@ struct DurableState {
     poisoned: Option<String>,
 }
 
-/// Crash durability, checkpoints and time travel over any
-/// [`ColumnStore`] — see the [module docs](self).
+/// Crash durability, checkpoints and time travel over a
+/// [`ShardedCatalog`] — see the [module docs](self).
 ///
 /// ```no_run
 /// use dh_catalog::durable::{DurableOptions, DurableStore, StoreKind};
@@ -234,7 +226,7 @@ struct DurableState {
 /// use dh_core::{MemoryBudget, UpdateOp};
 ///
 /// let store =
-///     DurableStore::open("wal-dir", StoreKind::Single, DurableOptions::default()).unwrap();
+///     DurableStore::open("wal-dir", StoreKind::Sharded, DurableOptions::default()).unwrap();
 /// if !store.contains("amount") {
 ///     let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0));
 ///     store.register("amount", config).unwrap();
@@ -242,11 +234,11 @@ struct DurableState {
 /// store.apply("amount", &[UpdateOp::Insert(42)]).unwrap();
 /// drop(store); // ... crash here, reopen, and the epoch is back:
 /// let store =
-///     DurableStore::open("wal-dir", StoreKind::Single, DurableOptions::default()).unwrap();
+///     DurableStore::open("wal-dir", StoreKind::Sharded, DurableOptions::default()).unwrap();
 /// assert_eq!(store.total_count("amount").unwrap(), 1.0);
 /// ```
 pub struct DurableStore {
-    inner: Box<dyn ColumnStore>,
+    inner: ShardedCatalog,
     kind: StoreKind,
     opts: DurableOptions,
     dir: PathBuf,
@@ -257,8 +249,8 @@ impl DurableStore {
     /// Opens (or creates) the durable store rooted at `dir`: loads the
     /// newest valid checkpoint, replays the surviving changelog tail in
     /// epoch order (truncating a torn final record — the expected shape
-    /// of a crash mid-append), and serves from a freshly built inner
-    /// store of `kind`.
+    /// of a crash mid-append), and serves from a freshly built
+    /// [`ShardedCatalog`].
     ///
     /// # Errors
     /// [`DurableError::Wal`] on I/O problems, corruption outside the
@@ -273,7 +265,7 @@ impl DurableStore {
         let dir = dir.into();
         let (wal, records) = Wal::open(&dir, kind.tag(), opts.sync)?;
         let checkpoint = latest_checkpoint(&dir, kind.tag())?;
-        let (inner, configs) = restore_base(kind, checkpoint.as_ref())?;
+        let (inner, configs) = restore_base(checkpoint.as_ref())?;
         let base = checkpoint.as_ref().map_or(0, |ckpt| ckpt.epoch);
         // Seed the live-shape map from the checkpoint: `restore_base`
         // already re-applied these shapes to the inner store; the map
@@ -378,25 +370,6 @@ impl DurableStore {
                     self.inner.commit(batch)?;
                     self.push_generation(&mut st)?;
                 }
-                // Legacy: logs written before the elastic rebuild plane
-                // carry border moves as `Reshard`; the live leader now
-                // logs every shape change as `Rebuild` (with its
-                // ordinal), so this arm only ever replays old logs.
-                WalRecord::Reshard { column, barrier } => {
-                    st.last_reshard_attempt.insert(column.clone(), barrier);
-                    if barrier <= base {
-                        continue; // the checkpoint spans already reflect it
-                    }
-                    let at = self.inner.epoch();
-                    if barrier != at {
-                        return Err(DurableError::Recovery(format!(
-                            "re-shard record for '{column}' at barrier {barrier} does not \
-                             follow its commit (store at {at})"
-                        )));
-                    }
-                    self.inner.reshard(&column)?;
-                    self.refresh_ring_tail(&mut st)?;
-                }
                 WalRecord::Rebuild {
                     column,
                     barrier,
@@ -404,7 +377,6 @@ impl DurableStore {
                     shards,
                     spec,
                     memory_bytes,
-                    channel,
                 } => {
                     st.last_reshard_attempt.insert(column.clone(), barrier);
                     // Resume the ordinal sequence where the log left it,
@@ -424,7 +396,7 @@ impl DurableStore {
                     // The record carries the plan's *deltas*; resolving
                     // them against the store state at the same barrier
                     // reproduces the live rebuild bit-identically.
-                    let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes, channel)?;
+                    let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes)?;
                     self.inner.rebuild(&column, plan)?;
                     self.record_live_shape(&mut st, &column)?;
                     self.refresh_ring_tail(&mut st)?;
@@ -540,9 +512,7 @@ impl DurableStore {
             st.last_reshard_attempt.insert(column.clone(), epoch);
             if self.inner.reshard(&column)? {
                 // A border move is logged as a delta-less `Rebuild` so
-                // it draws an ordinal like every other shape change —
-                // `Reshard` records are legacy, decoded but never
-                // written (see [`WalRecord::Reshard`]).
+                // it draws an ordinal like every other shape change.
                 st.judged.insert(column.clone(), (epoch, 0));
                 let seq = Self::bump_rebuild_seq(st, &column);
                 Self::append(
@@ -728,12 +698,12 @@ impl ColumnStore for DurableStore {
         // the decorator must apply the same validation the inner
         // register would.
         crate::sharded::validate_policies(&config)?;
-        // Inner first: the inner store is the validator (e.g. a sharded
-        // store rejecting a plan-less config), and a record logged for a
-        // registration that then fails would brick every reopen. If the
-        // append after it fails, `append` poisons the store, so the
-        // inner-only column can never be committed to or survive a
-        // reopen — the log and the durable column set cannot diverge.
+        // Inner first: the inner store is the validator, and a record
+        // logged for a registration that then fails would brick every
+        // reopen. If the append after it fails, `append` poisons the
+        // store, so the inner-only column can never be committed to or
+        // survive a reopen — the log and the durable column set cannot
+        // diverge.
         self.inner.register(column, strip_policy(&config))?;
         Self::append(
             &mut st,
@@ -840,8 +810,7 @@ impl ColumnStore for DurableStore {
 
     /// Explicit re-shard, logged like a policy-driven one so recovery
     /// replays it at the same barrier — as a delta-less [`Rebuild`]
-    /// record carrying its ordinal ([`WalRecord::Reshard`] is legacy,
-    /// decoded but never written).
+    /// record carrying its ordinal.
     ///
     /// [`Rebuild`]: WalRecord::Rebuild
     fn reshard(&self, column: &str) -> Result<bool, CatalogError> {
@@ -885,6 +854,16 @@ impl ColumnStore for DurableStore {
         self.inner.column_shape(column)
     }
 
+    /// The ordinal of the last rebuild this store logged for `column` —
+    /// restored from the log and checkpoints on reopen.
+    ///
+    /// # Errors
+    /// [`CatalogError::UnknownColumn`] if absent.
+    fn rebuild_seq(&self, column: &str) -> Result<u64, CatalogError> {
+        self.inner.spec(column)?;
+        Ok(self.lock().rebuild_seqs.get(column).copied().unwrap_or(0))
+    }
+
     fn shard_load(&self, column: &str) -> Result<Vec<u64>, CatalogError> {
         self.inner.shard_load(column)
     }
@@ -910,46 +889,28 @@ impl ColumnStore for DurableStore {
     }
 }
 
-/// What [`restore_base`] hands back: the freshly built inner store and
-/// the restored per-column config map.
-pub type RestoredBase = (Box<dyn ColumnStore>, BTreeMap<String, ColumnConfig>);
+/// What [`restore_base`] hands back: the freshly built store and the
+/// restored per-column config map.
+pub type RestoredBase = (ShardedCatalog, BTreeMap<String, ColumnConfig>);
 
-/// Builds a fresh inner store of `kind` and seeds it from `checkpoint`
-/// when one is given, returning the boxed store plus the restored
-/// config map (with re-shard policies intact — the store inside gets
-/// them stripped, see [`strip_policy`]). This is the recovery base both
+/// Builds a fresh store and seeds it from `checkpoint` when one is
+/// given, returning the store plus the restored config map (with
+/// re-shard policies intact — the store inside gets them stripped, see
+/// [`strip_policy`]). This is the recovery base both
 /// [`DurableStore::open`] and a read replica's checkpoint fallback
 /// start replaying the changelog tail onto.
 ///
 /// # Errors
 /// [`DurableError::Recovery`] if the checkpoint is internally
-/// inconsistent; [`DurableError::Store`] if the inner store rejects a
+/// inconsistent; [`DurableError::Store`] if the store rejects a
 /// restored column.
-pub fn restore_base(
-    kind: StoreKind,
-    checkpoint: Option<&Checkpoint>,
-) -> Result<RestoredBase, DurableError> {
+pub fn restore_base(checkpoint: Option<&Checkpoint>) -> Result<RestoredBase, DurableError> {
     let mut configs = BTreeMap::new();
-    // Build the concrete store first: the checkpoint restore needs its
-    // `DirectRestore` seam, which the object-safe `ColumnStore` trait
-    // deliberately does not carry.
-    let inner: Box<dyn ColumnStore> = match kind {
-        StoreKind::Single => {
-            let store = Catalog::new();
-            if let Some(ckpt) = checkpoint {
-                restore_checkpoint(&store, ckpt, &mut configs)?;
-            }
-            Box::new(store)
-        }
-        StoreKind::Sharded => {
-            let store = ShardedCatalog::new();
-            if let Some(ckpt) = checkpoint {
-                restore_checkpoint(&store, ckpt, &mut configs)?;
-            }
-            Box::new(store)
-        }
-    };
-    Ok((inner, configs))
+    let store = ShardedCatalog::new();
+    if let Some(ckpt) = checkpoint {
+        restore_checkpoint(&store, ckpt, &mut configs)?;
+    }
+    Ok((store, configs))
 }
 
 /// `config` as the inner store should see it: identical, minus any
@@ -977,7 +938,6 @@ pub fn config_to_record(config: &ColumnConfig) -> ConfigRecord {
             lo: plan.domain().0,
             hi: plan.domain().1,
             shards: plan.shards() as u64,
-            channel: plan.mode() == IngestMode::Channel,
         }),
         reshard: config.reshard.map(|policy| ReshardPolicyRecord {
             skew_bits: policy.skew_threshold.to_bits(),
@@ -1016,11 +976,7 @@ pub fn config_from_record(record: &ConfigRecord) -> Result<ColumnConfig, Durable
         ColumnConfig::new(spec, MemoryBudget::from_bytes(record.memory_bytes as usize))
             .with_seed(record.seed);
     if let Some(plan) = &record.plan {
-        let mut live = ShardPlan::new(plan.lo, plan.hi, plan.shards as usize)?;
-        if plan.channel {
-            live = live.channel();
-        }
-        config = config.with_plan(live);
+        config = config.with_plan(ShardPlan::new(plan.lo, plan.hi, plan.shards as usize)?);
     }
     if let Some(policy) = &record.reshard {
         config = config.with_reshard(ReshardPolicy {
@@ -1056,7 +1012,6 @@ pub fn plan_from_deltas(
     shards: Option<u64>,
     spec: Option<&str>,
     memory_bytes: Option<u64>,
-    channel: Option<bool>,
 ) -> Result<RebuildPlan, DurableError> {
     let mut plan = RebuildPlan::new();
     plan.shards = shards.map(|k| k as usize);
@@ -1066,13 +1021,6 @@ pub fn plan_from_deltas(
         })?);
     }
     plan.memory = memory_bytes.map(|bytes| MemoryBudget::from_bytes(bytes as usize));
-    plan.ingest_mode = channel.map(|ch| {
-        if ch {
-            IngestMode::Channel
-        } else {
-            IngestMode::Locked
-        }
-    });
     Ok(plan)
 }
 
@@ -1086,7 +1034,6 @@ fn rebuild_record(column: &str, barrier: u64, seq: u64, plan: &RebuildPlan) -> W
         shards: plan.shards.map(|k| k as u64),
         spec: plan.spec.map(|s| s.label()),
         memory_bytes: plan.memory.map(|m| m.bytes() as u64),
-        channel: plan.ingest_mode.map(|m| m == IngestMode::Channel),
     }
 }
 
@@ -1097,7 +1044,6 @@ fn shape_to_record(shape: &ColumnShape) -> ShapeRecord {
         shards: shape.shards as u64,
         spec: shape.spec.label(),
         memory_bytes: shape.memory.bytes() as u64,
-        channel: shape.ingest_mode == IngestMode::Channel,
     }
 }
 
@@ -1110,22 +1056,17 @@ fn shape_to_plan(shape: &ShapeRecord) -> Result<RebuildPlan, DurableError> {
     Ok(RebuildPlan::new()
         .with_shards(shape.shards as usize)
         .with_spec(spec)
-        .with_memory(MemoryBudget::from_bytes(shape.memory_bytes as usize))
-        .with_ingest_mode(if shape.channel {
-            IngestMode::Channel
-        } else {
-            IngestMode::Locked
-        }))
+        .with_memory(MemoryBudget::from_bytes(shape.memory_bytes as usize)))
 }
 
-/// Rebuilds the inner store's state from a checkpoint: registers every
+/// Rebuilds the store's state from a checkpoint: registers every
 /// column, then seeds the store epoch and every per-column counter
 /// directly through the store's restore hook, applying ops synthesized
 /// from the checkpointed spans to rebuild the histogram mass. Cost is
 /// proportional to the checkpoint size, not the store's lifetime epoch
 /// count.
-fn restore_checkpoint<S: ColumnStore + DirectRestore>(
-    inner: &S,
+fn restore_checkpoint(
+    inner: &ShardedCatalog,
     ckpt: &Checkpoint,
     configs: &mut BTreeMap<String, ColumnConfig>,
 ) -> Result<(), DurableError> {
@@ -1237,7 +1178,7 @@ mod tests {
         let dir = dh_wal::tmp::TempDir::new("dur-poison");
         let store = DurableStore::open(
             dir.path(),
-            StoreKind::Single,
+            StoreKind::Sharded,
             DurableOptions {
                 sync: SyncPolicy::PerCommit,
                 checkpoint_every: None,
@@ -1292,7 +1233,7 @@ mod tests {
         drop(store);
         let store = DurableStore::open(
             dir.path(),
-            StoreKind::Single,
+            StoreKind::Sharded,
             DurableOptions {
                 sync: SyncPolicy::PerCommit,
                 checkpoint_every: None,
@@ -1306,7 +1247,7 @@ mod tests {
 
     #[test]
     fn config_record_round_trips_including_nan_threshold() {
-        let plan = ShardPlan::new(-100, 100, 4).unwrap().channel();
+        let plan = ShardPlan::new(-100, 100, 4).unwrap();
         let config = ColumnConfig::new(AlgoSpec::Dado, MemoryBudget::from_kb(2.0))
             .with_seed(9)
             .with_plan(plan)

@@ -16,8 +16,7 @@
 //! sums. Everything downstream (CDF precompute, estimator reads,
 //! `SnapshotSet` subsetting) works unchanged on the result.
 
-use crate::catalog::Snapshot;
-use crate::store::SnapshotSet;
+use crate::store::{Snapshot, SnapshotSet};
 use dh_core::BucketSpan;
 use std::collections::BTreeMap;
 

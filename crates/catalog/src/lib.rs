@@ -1,6 +1,6 @@
 //! The estimation *serving layer*: one registry for every histogram
-//! algorithm in the workspace, one object-safe [`ColumnStore`] trait for
-//! every store design, and transactional epoch-stamped writes — the
+//! algorithm in the workspace, one object-safe [`ColumnStore`] trait
+//! over one store design, and transactional epoch-stamped writes — the
 //! deployment the paper argues for (Section 1: the optimizer keeps
 //! reading size estimates while the data set, and hence the histogram,
 //! evolves underneath it), hardened for multi-column, multi-shard
@@ -17,21 +17,21 @@
 //!   scan-and-rebuild static histograms the same maintained-in-place
 //!   [`dh_core::DynHistogram`] face as the dynamic ones.
 //! * [`store`] — the [`ColumnStore`] trait (register / commit / apply /
-//!   snapshot / estimate, object-safe), [`ColumnConfig`], and
-//!   [`SnapshotSet`] — a consistent multi-column view pinned to one
-//!   epoch. Estimation code, benches and the `repro serve` replay are
-//!   written once against `&dyn ColumnStore`.
+//!   snapshot / estimate, object-safe), [`ColumnConfig`], the
+//!   epoch-pinned [`Snapshot`] every store serves, and [`SnapshotSet`] —
+//!   a consistent multi-column view pinned to one epoch. Estimation code
+//!   is written once against `&dyn ColumnStore`.
 //! * [`txn`] — [`WriteBatch`] and the two-phase, epoch-stamped commit
 //!   protocol (stage per cell, one atomic epoch publication per store)
 //!   that guarantees readers never observe a torn batch — across shards
 //!   *and* across columns.
-//! * [`catalog`] — [`Catalog`], the single-cell-per-column store, and the
-//!   epoch-pinned [`Snapshot`] every store serves.
-//! * [`sharded`] — [`ShardedCatalog`]: a column's value domain
-//!   partitioned across independently locked shards (drained inline or by
-//!   per-shard MPSC workers), with snapshots composed back into one
-//!   histogram through `dh_distributed`'s lossless superposition —
-//!   multi-writer ingestion without a global lock, same read API. Shard
+//! * [`sharded`] — [`ShardedCatalog`], the store: a column's value
+//!   domain partitioned across independently locked shards, with
+//!   snapshots composed back into one histogram through
+//!   `dh_distributed`'s lossless superposition — multi-writer ingestion
+//!   without a global lock. A column registered without a [`ShardPlan`]
+//!   is one shard over the whole `i64` domain, which superposition
+//!   passes through unchanged. Shard
 //!   borders adapt to the routed load: a [`ReshardPolicy`] (or an
 //!   explicit [`ColumnStore::reshard`]) rebuilds the live [`ShardMap`]
 //!   from the composed CDF behind the epoch barrier, so a skewed update
@@ -39,13 +39,13 @@
 //!   move is one instance of the elastic rebuild plane:
 //!   [`ColumnStore::rebuild`] executes a [`RebuildPlan`] of deltas —
 //!   grow/shrink the shard count, migrate the algorithm online,
-//!   re-budget the memory, switch the ingestion design — behind the
-//!   same barrier with exact mass conservation, and an
+//!   re-budget the memory — behind the same barrier with exact mass
+//!   conservation, and an
 //!   [`AutoscalePolicy`] drives the shard count from the load on its
 //!   own (see `docs/ELASTIC.md`; the live shape is
 //!   [`ColumnStore::column_shape`]).
 //! * [`durable`] — [`DurableStore`], crash durability as a decorator
-//!   over any of the above: every publication appended to `dh_wal`'s
+//!   over the store: every publication appended to `dh_wal`'s
 //!   epoch changelog, checkpoints on an epoch cadence,
 //!   [`DurableStore::open`] replaying the store back (torn final record
 //!   tolerated, corruption typed), and a ring of retained generations
@@ -59,10 +59,10 @@
 //! # Example: mixed algorithms behind one API
 //!
 //! ```
-//! use dh_catalog::{AlgoSpec, Catalog, ColumnConfig, ColumnStore};
+//! use dh_catalog::{AlgoSpec, ColumnConfig, ColumnStore, ShardedCatalog};
 //! use dh_core::{MemoryBudget, ReadHistogram, UpdateOp};
 //!
-//! let catalog = Catalog::new();
+//! let catalog = ShardedCatalog::new();
 //! let memory = MemoryBudget::from_kb(1.0);
 //! catalog
 //!     .register("orders.amount", ColumnConfig::new(AlgoSpec::Dc, memory).with_seed(1))
@@ -84,7 +84,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod adapter;
-pub mod catalog;
 pub mod durable;
 pub mod global;
 pub mod read;
@@ -94,13 +93,11 @@ pub mod store;
 pub mod txn;
 
 pub use adapter::StaticRebuild;
-pub use catalog::{Catalog, CatalogError, Snapshot};
 pub use durable::{DurableError, DurableOptions, DurableStore, StoreKind};
 pub use read::ReadStats;
 pub use sharded::{
-    AutoscalePolicy, ColumnShape, IngestMode, RebuildPlan, ReshardPolicy, ShardMap, ShardPlan,
-    ShardedCatalog,
+    AutoscalePolicy, ColumnShape, RebuildPlan, ReshardPolicy, ShardMap, ShardPlan, ShardedCatalog,
 };
 pub use spec::{AlgoSpec, ParseAlgoSpecError};
-pub use store::{ColumnConfig, ColumnStore, SnapshotSet};
+pub use store::{CatalogError, ColumnConfig, ColumnStore, Snapshot, SnapshotSet};
 pub use txn::WriteBatch;

@@ -19,7 +19,7 @@
 //! counters give wait-free readers and a writer that can reclaim (drop)
 //! the superseded generation without deferred reclamation machinery.
 
-use crate::catalog::Snapshot;
+use crate::store::Snapshot;
 use crate::store::SnapshotSet;
 use crate::txn::lock;
 use std::cell::UnsafeCell;

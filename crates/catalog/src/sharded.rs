@@ -1,44 +1,31 @@
-//! The sharded serving layer: one column's domain partitioned across
-//! independently locked shards, composed back into a single histogram
-//! through `dh_distributed`'s lossless superposition — with **dynamic
+//! The store: one column's domain partitioned across independently
+//! locked shards, composed back into a single histogram through
+//! `dh_distributed`'s lossless superposition — with **dynamic
 //! re-sharding** that moves the shard borders when the routed load skews.
 //!
-//! A [`Catalog`](crate::Catalog) column serializes histogram maintenance
-//! behind one cell. A [`ShardedCatalog`] column instead splits its value
-//! domain into `k` contiguous subranges, each owning a private histogram
-//! (built from the same [`AlgoSpec`], with the memory budget divided
-//! evenly, remainder bytes going to the first shards), so concurrent
-//! writers whose batches land on different shards never touch the same
-//! state lock. Readers still see *one* histogram: snapshot composition
-//! superimposes the per-shard spans ([`dh_distributed::superimpose`],
-//! the Section 8 union estimator — shards are "member sites" of a
-//! degenerate shared-nothing union whose members happen to be disjoint),
-//! so a [`Snapshot`] of a sharded column feeds `dh_optimizer` exactly
-//! like an unsharded one.
+//! A [`ShardedCatalog`] column splits its value domain into `k`
+//! contiguous subranges, each owning a private histogram (built from the
+//! same [`AlgoSpec`], with the memory budget divided evenly, remainder
+//! bytes going to the first shards), so concurrent writers whose batches
+//! land on different shards never touch the same state lock. Readers
+//! still see *one* histogram: snapshot composition superimposes the
+//! per-shard spans ([`dh_distributed::superimpose`], the Section 8 union
+//! estimator — shards are "member sites" of a degenerate shared-nothing
+//! union whose members happen to be disjoint), so a [`Snapshot`] of a
+//! sharded column feeds `dh_optimizer` exactly like a single histogram.
+//! A column registered without a [`ShardPlan`] is one shard over the
+//! whole `i64` domain: superposing one member changes nothing, so its
+//! snapshots are bit-identical to the bare histogram's.
 //!
 //! Writes follow the store-wide two-phase, epoch-stamped commit of
 //! [`crate::txn`]: a batch is *staged* into every touched shard's pending
 //! queue, then *published* in one atomic epoch bump — so no reader ever
 //! observes a batch torn between shards (or, for a multi-column
-//! [`WriteBatch`], between columns). Two ingestion
-//! designs then differ only in **who applies** the staged entries
-//! ([`IngestMode`]):
-//!
-//! * **`Locked`** — the committing writer drains each touched shard
-//!   itself, under that shard's own lock. Writers on different shards
-//!   proceed in parallel; writers on the same shard contend only there.
-//! * **`Channel`** — each shard owns an MPSC drain worker; after
-//!   publishing, writers only nudge the workers and return, never waiting
-//!   on histogram maintenance. [`ColumnStore::flush`] is the barrier that
-//!   makes reads deterministic (readers also self-serve: a snapshot
-//!   drains published entries it still needs).
-//!
-//! Either way drains apply entries in epoch order, so locked and channel
-//! ingestion produce identical histograms for the same commit sequence.
-//! The `contention` bench and `repro serve` compare both designs against
-//! the single-cell `Catalog` under multi-writer replay — through the
-//! same `&dyn ColumnStore` code path; `ARCHITECTURE.md` quotes the
-//! numbers.
+//! [`WriteBatch`], between columns). The committing writer then drains
+//! each touched shard itself, under that shard's own lock: writers on
+//! different shards proceed in parallel, writers on the same shard
+//! contend only there. Drains apply entries in epoch order, so the same
+//! commit sequence always produces the same histograms.
 //!
 //! # Dynamic re-sharding
 //!
@@ -72,16 +59,15 @@
 //! # Elastic rebuilds
 //!
 //! The border move is the all-defaults case of a general rebuild plane.
-//! [`ColumnStore::rebuild`] takes a [`RebuildPlan`] — four optional
-//! deltas: shard count, [`AlgoSpec`], [`MemoryBudget`], [`IngestMode`] —
-//! and executes any combination behind the same pin → drain-to-barrier →
-//! compose → clip/re-ingest → atomic-swap sequence: grow or shrink `k`,
-//! migrate the algorithm online (the composed spans are re-ingested
-//! into freshly built target-spec histograms by largest remainder, so
-//! exactly `round(total)` insertions come through), re-split a new
-//! budget, or switch ingestion designs. [`ColumnStore::reshard`] is the
-//! empty plan. An [`AutoscalePolicy`] on [`ColumnConfig`] drives the
-//! shard-count knob automatically — at or above its up-rate the count
+//! [`ColumnStore::rebuild`] takes a [`RebuildPlan`] — three optional
+//! deltas: shard count, [`AlgoSpec`], [`MemoryBudget`] — and executes
+//! any combination behind the same pin → drain-to-barrier → compose →
+//! clip/re-ingest → atomic-swap sequence: grow or shrink `k`, migrate
+//! the algorithm online (the composed spans are re-ingested into freshly
+//! built target-spec histograms by largest remainder, so exactly
+//! `round(total)` insertions come through), or re-split a new budget.
+//! [`ColumnStore::reshard`] is the empty plan. An [`AutoscalePolicy`] on
+//! [`ColumnConfig`] drives the shard-count knob automatically — at or above its up-rate the count
 //! doubles toward the cap, at or below its down-rate it halves toward
 //! the floor, in between it falls back to the skew rebalance. The live
 //! shape (vs the frozen registration) is [`ColumnStore::column_shape`];
@@ -112,49 +98,28 @@
 //! assert!((snap.total_count() - 4000.0).abs() < 1e-9);
 //! ```
 
-use crate::catalog::CatalogError;
 use crate::spec::AlgoSpec;
-use crate::store::{ColumnConfig, ColumnStore, SnapshotSet};
+use crate::store::{CatalogError, ColumnConfig, ColumnStore, Snapshot, SnapshotSet};
 use crate::txn::{
     compose_at, lock, read_lock, write_lock, BatchTicket, Cell, ColumnStamp, ComposeCache,
-    DirectRestore, Registry, RestoreColumn, StoreColumn, WriteBatch,
+    Registry, RestoreColumn, WriteBatch,
 };
-use crate::Snapshot;
 use dh_core::{BucketSpan, MemoryBudget, UpdateOp};
 use dh_distributed::superimpose;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, RwLock};
 
-/// How a sharded column applies its staged update batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum IngestMode {
-    /// The committing writer drains each touched shard itself, under that
-    /// shard's own lock. Synchronous: when
-    /// [`ColumnStore::apply`]/[`ColumnStore::commit`] returns, the batch
-    /// is in the histograms.
-    #[default]
-    Locked,
-    /// One MPSC drain worker per shard applies staged entries; writers
-    /// publish, nudge the workers and return without waiting on histogram
-    /// maintenance. Asynchronous: use [`ColumnStore::flush`] as a barrier
-    /// before reads that must observe every prior commit (snapshots are
-    /// still never torn — they see whole published batches only, as of
-    /// whatever epoch they pin).
-    Channel,
-}
-
-/// How a column is sharded at registration: its value domain, the shard
-/// count, and the ingestion design. Constructible only through
-/// [`ShardPlan::new`] (which rejects degenerate input), so every live
-/// plan is valid — the single validation point.
+/// How a column is sharded at registration: its value domain and the
+/// shard count. Constructible only through [`ShardPlan::new`] (which
+/// rejects degenerate input), so every live plan is valid — the single
+/// validation point.
 ///
 /// The plan fixes the *initial, equal-width* borders; at runtime the
 /// store routes through a [`ShardMap`] whose borders may move on
-/// re-shard ([`ColumnStore::reshard`]), and the shard count and
-/// ingestion mode may change through an elastic rebuild
-/// ([`ColumnStore::rebuild`]). Only the domain is permanent.
+/// re-shard ([`ColumnStore::reshard`]), and the shard count may change
+/// through an elastic rebuild ([`ColumnStore::rebuild`]). Only the
+/// domain is permanent.
 ///
 /// # Routing invariants
 ///
@@ -173,13 +138,11 @@ pub struct ShardPlan {
     domain: (i64, i64),
     /// Number of shards (>= 1).
     shards: usize,
-    /// Ingestion design.
-    mode: IngestMode,
 }
 
 impl ShardPlan {
-    /// A locked-ingestion plan over the inclusive domain `[lo, hi]` with
-    /// `shards` equal-width shards.
+    /// A plan over the inclusive domain `[lo, hi]` with `shards`
+    /// equal-width shards.
     ///
     /// # Errors
     /// [`CatalogError::InvalidShardPlan`] if `shards == 0` or `lo > hi`
@@ -198,14 +161,7 @@ impl ShardPlan {
         Ok(Self {
             domain: (lo, hi),
             shards,
-            mode: IngestMode::Locked,
         })
-    }
-
-    /// The same plan with channel (MPSC drain worker) ingestion.
-    pub fn channel(mut self) -> Self {
-        self.mode = IngestMode::Channel;
-        self
     }
 
     /// The inclusive value domain `[lo, hi]` partitioned across shards.
@@ -217,11 +173,6 @@ impl ShardPlan {
     /// Number of shards (>= 1).
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Ingestion design.
-    pub fn mode(&self) -> IngestMode {
-        self.mode
     }
 
     /// The shard index a value routes to under the *initial* equal-width
@@ -321,7 +272,7 @@ impl Default for ReshardPolicy {
 /// Every field is a *delta*: `None` keeps the column's current value at
 /// the barrier, `Some` replaces it. The all-`None` default is a pure
 /// border rebalance — exactly what [`ColumnStore::reshard`] runs. All
-/// four deltas execute behind the same epoch barrier (pin → drain →
+/// three deltas execute behind the same epoch barrier (pin → drain →
 /// compose → clip/re-ingest → atomic swap), so any combination — grow
 /// `k` while migrating DC → DADO under a new budget — is one atomic
 /// routing swap with exact mass conservation.
@@ -337,11 +288,6 @@ pub struct RebuildPlan {
     /// Target total memory budget, re-split across the (possibly new)
     /// shard count (`None` keeps the live budget).
     pub memory: Option<MemoryBudget>,
-    /// Target ingestion design (`None` keeps the live one). Switching to
-    /// [`IngestMode::Channel`] spawns drain workers for the new
-    /// generation; switching away joins them when the old generation
-    /// retires.
-    pub ingest_mode: Option<IngestMode>,
 }
 
 impl RebuildPlan {
@@ -368,12 +314,6 @@ impl RebuildPlan {
         self
     }
 
-    /// Sets the target ingestion design.
-    pub fn with_ingest_mode(mut self, mode: IngestMode) -> Self {
-        self.ingest_mode = Some(mode);
-        self
-    }
-
     /// Whether every field is `None` (a pure border rebalance).
     pub fn is_rebalance(&self) -> bool {
         *self == Self::default()
@@ -391,8 +331,6 @@ pub struct ColumnShape {
     pub memory: MemoryBudget,
     /// The live shard count.
     pub shards: usize,
-    /// The live ingestion design.
-    pub ingest_mode: IngestMode,
     /// The registered value domain (permanent; rebuilds never change it).
     pub domain: (i64, i64),
 }
@@ -757,17 +695,9 @@ pub(crate) fn split_budget(memory: MemoryBudget, shards: usize) -> Vec<MemoryBud
         .collect()
 }
 
-/// Per-generation channel-mode machinery: one drain-nudge sender per
-/// shard plus the worker handles (joined when the generation drops).
-struct Workers {
-    /// `senders[i]` nudges shard `i`'s worker to drain up to an epoch.
-    senders: Vec<mpsc::Sender<u64>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
 /// One routing generation of a sharded column: the live [`ShardMap`],
 /// the per-shard cells it routes into, and everything scoped to that
-/// routing (load counters, drain workers, the compose cache). A
+/// routing (load counters, the compose cache). A
 /// re-shard swaps the whole generation atomically under the column's
 /// routing lock, so writers and readers always see map and cells in
 /// agreement.
@@ -779,8 +709,6 @@ struct Generation {
     spec: AlgoSpec,
     /// The total memory budget split across this generation's cells.
     memory: MemoryBudget,
-    /// The ingestion design this generation serves (decides `workers`).
-    mode: IngestMode,
     cells: Vec<Arc<Cell>>,
     /// Ops routed into each shard since this generation was installed
     /// (the load the [`ReshardPolicy`] judges).
@@ -791,62 +719,27 @@ struct Generation {
     /// batch staged here is published and drainable before the barrier
     /// epoch is read.
     in_flight: AtomicU64,
-    /// `Some` iff the column ingests in [`IngestMode::Channel`].
-    workers: Option<Workers>,
     cache: Mutex<ComposeCache>,
 }
 
 impl Generation {
-    /// Builds a generation over `cells`, spawning one drain worker per
-    /// shard in channel mode.
+    /// Builds a generation over `cells`.
     fn install(
         map: ShardMap,
         spec: AlgoSpec,
         memory: MemoryBudget,
-        mode: IngestMode,
         cells: Vec<Arc<Cell>>,
     ) -> Arc<Self> {
-        let workers = match mode {
-            IngestMode::Locked => None,
-            IngestMode::Channel => {
-                let mut senders = Vec::with_capacity(cells.len());
-                let mut handles = Vec::with_capacity(cells.len());
-                for cell in &cells {
-                    let (tx, rx) = mpsc::channel::<u64>();
-                    let cell = Arc::clone(cell);
-                    handles.push(std::thread::spawn(move || {
-                        while let Ok(epoch) = rx.recv() {
-                            cell.drain_to(epoch);
-                        }
-                    }));
-                    senders.push(tx);
-                }
-                Some(Workers { senders, handles })
-            }
-        };
         let load = cells.iter().map(|_| AtomicU64::new(0)).collect();
         Arc::new(Self {
             map,
             spec,
             memory,
-            mode,
             cells,
             load,
             in_flight: AtomicU64::new(0),
-            workers,
             cache: Mutex::new(ComposeCache::default()),
         })
-    }
-}
-
-impl Drop for Generation {
-    fn drop(&mut self) {
-        if let Some(workers) = self.workers.take() {
-            drop(workers.senders); // disconnect: workers drain and exit
-            for h in workers.handles {
-                let _ = h.join();
-            }
-        }
     }
 }
 
@@ -885,13 +778,17 @@ struct ReshardMeta {
     judged_load: u64,
 }
 
-struct ShardedColumn {
-    name: String,
+/// One registered column: its routing generation, policies and the
+/// publish-consistent stamp the [`Registry`] commit protocol updates.
+pub(crate) struct ShardedColumn {
+    pub(crate) name: String,
     /// The *registration* algorithm — what [`ColumnStore::spec`]
     /// reports and replayed register records are compared against. The
     /// live (possibly migrated) algorithm lives on the generation; see
     /// [`ShardedCatalog::shape`].
     spec: AlgoSpec,
+    /// The registration plan (a plan-less column records the one-shard
+    /// full-`i64` plan it was given).
     plan: ShardPlan,
     seed: u64,
     policy: Option<ReshardPolicy>,
@@ -902,7 +799,8 @@ struct ShardedColumn {
     /// clamped into an edge shard (total across generations).
     clamped: AtomicU64,
     reshard: Mutex<ReshardMeta>,
-    stamp: Mutex<ColumnStamp>,
+    /// The column's publish-consistent counters.
+    pub(crate) stamp: Mutex<ColumnStamp>,
 }
 
 impl ShardedColumn {
@@ -931,18 +829,11 @@ impl ShardedColumn {
             std::thread::yield_now();
         }
     }
-}
 
-impl StoreColumn for ShardedColumn {
-    /// The generation a batch staged into, plus the shard indices it
-    /// touched there.
-    type Staged = StagedShards;
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn stage_ops(&self, ticket: &Arc<BatchTicket>, ops: Vec<UpdateOp>) -> StagedShards {
+    /// Phase 1 of a commit: routes `ops` through the live shard map and
+    /// queues each shard's share under `ticket`, invisible until
+    /// published. The token names the generation and the shards touched.
+    pub(crate) fn stage_ops(&self, ticket: &Arc<BatchTicket>, ops: Vec<UpdateOp>) -> StagedShards {
         let generation = read_lock(&self.generation);
         let (lo, hi) = generation.map.domain();
         let mut routed: Vec<Vec<UpdateOp>> = vec![Vec::new(); generation.map.shards()];
@@ -977,37 +868,19 @@ impl StoreColumn for ShardedColumn {
         }
     }
 
-    fn stamp(&self) -> &Mutex<ColumnStamp> {
-        &self.stamp
-    }
-
-    /// Post-publication application: drain the touched shards inline
-    /// (locked mode) or nudge their workers (channel mode) — in the
-    /// generation the batch was staged into, which a concurrent
+    /// Phase 3 of a commit: drains the touched shards inline, in the
+    /// generation the batch was staged into — which a concurrent
     /// re-shard cannot retire until this settle (and the token drop
     /// after it) completes.
-    fn settle(&self, staged: &StagedShards, epoch: u64) {
-        match &staged.generation.workers {
-            None => {
-                for &i in &staged.touched {
-                    staged.generation.cells[i].drain_to(epoch);
-                }
-            }
-            Some(workers) => {
-                for &i in &staged.touched {
-                    // A worker that died (a panicking histogram apply
-                    // unwinds its thread) must not turn into a
-                    // store-wide denial of writes: fall back to the
-                    // locked-mode inline drain.
-                    if workers.senders[i].send(epoch).is_err() {
-                        staged.generation.cells[i].drain_to(epoch);
-                    }
-                }
-            }
+    pub(crate) fn settle(&self, staged: &StagedShards, epoch: u64) {
+        for &i in &staged.touched {
+            staged.generation.cells[i].drain_to(epoch);
         }
     }
 
-    fn render_at(&self, epoch: u64, stamp: ColumnStamp) -> Result<Snapshot, u64> {
+    /// Renders the column at exactly `epoch`, stamping the snapshot from
+    /// the already-validated `stamp` (retry token on `Err`).
+    pub(crate) fn render_at(&self, epoch: u64, stamp: ColumnStamp) -> Result<Snapshot, u64> {
         let generation = self.generation();
         let cells: Vec<&Cell> = generation.cells.iter().map(Arc::as_ref).collect();
         compose_at(
@@ -1023,12 +896,14 @@ impl StoreColumn for ShardedColumn {
         )
     }
 
-    /// Routes `ops` through the live shard map exactly like a staged
-    /// commit — same clamp accounting, same per-shard load counters (so
-    /// a restored column's re-shard policy judges the same load a
-    /// replayed history would have accumulated) — but applies straight
-    /// into the cells instead of staging.
-    fn restore_content(&self, epoch: u64, ops: Vec<UpdateOp>) {
+    /// Restore path: routes `ops` through the live shard map exactly
+    /// like a staged commit — same clamp accounting, same per-shard load
+    /// counters (so a restored column's re-shard policy judges the same
+    /// load a replayed history would have accumulated) — but applies
+    /// straight into the cells, marked as-of `epoch`. Only for
+    /// checkpoint recovery on an exclusively-owned store (see
+    /// [`Registry::restore_at`]).
+    pub(crate) fn restore_content(&self, epoch: u64, ops: Vec<UpdateOp>) {
         let generation = self.generation();
         let (lo, hi) = generation.map.domain();
         let mut routed: Vec<Vec<UpdateOp>> = vec![Vec::new(); generation.map.shards()];
@@ -1239,22 +1114,21 @@ pub(crate) fn spread_inserts(vlo: i64, vhi: i64, n: u64, emit: &mut dyn FnMut(i6
 }
 
 /// A thread-safe, multi-column histogram store whose columns are
-/// partitioned across shards — the distributed cousin of
-/// [`Catalog`](crate::Catalog), serving through the same [`ColumnStore`]
+/// partitioned across shards, serving through the [`ColumnStore`]
 /// trait.
 ///
 /// Writers commit from any number of threads; batches are routed by
 /// value range so writers touching different shards never contend on
 /// histogram state, while the store-wide epoch clock keeps every commit
-/// atomic across shards and columns. Readers get the same epoch-pinned
-/// [`Snapshot`] type a `Catalog` serves, so estimation and
-/// `dh_optimizer` joins are oblivious to the sharding. Shard borders
+/// atomic across shards and columns. Readers get epoch-pinned
+/// [`Snapshot`]s, so estimation and `dh_optimizer` joins are oblivious
+/// to the sharding. Shard borders
 /// adapt to the routed load — automatically under a [`ReshardPolicy`],
 /// or on demand through [`ColumnStore::reshard`] (see the
 /// [module docs](self) for the barrier protocol).
 #[derive(Default)]
 pub struct ShardedCatalog {
-    registry: Registry<ShardedColumn>,
+    registry: Registry,
     /// Whether any registered column carries a [`ReshardPolicy`] — lets
     /// the commit path skip the policy bookkeeping (touched-column name
     /// collection, post-commit lookups) entirely on stores that never
@@ -1269,12 +1143,12 @@ impl ShardedCatalog {
     }
 
     /// The shard plan a column was *registered* with — a frozen record
-    /// of the registration call, not the live state: its borders,
-    /// shard count, and ingestion mode are all stale after the first
-    /// re-shard or rebuild. The live borders are
-    /// [`ShardedCatalog::shard_map`]; the live shard count, algorithm,
-    /// memory budget, and ingestion mode are [`ShardedCatalog::shape`].
-    /// Only the domain is permanent.
+    /// of the registration call, not the live state: its borders and
+    /// shard count are stale after the first re-shard or rebuild. The
+    /// live borders are [`ShardedCatalog::shard_map`]; the live shard
+    /// count, algorithm and memory budget are [`ShardedCatalog::shape`].
+    /// Only the domain is permanent. A column registered without a plan
+    /// reports the one-shard plan over the whole `i64` domain.
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if absent.
@@ -1282,9 +1156,9 @@ impl ShardedCatalog {
         Ok(self.registry.get(column)?.plan)
     }
 
-    /// The column's *live* shape: the algorithm, memory budget, shard
-    /// count, and ingestion mode currently serving — everything a
-    /// [`RebuildPlan`] can change, after every rebuild that changed it.
+    /// The column's *live* shape: the algorithm, memory budget and shard
+    /// count currently serving — everything a [`RebuildPlan`] can
+    /// change, after every rebuild that changed it.
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if absent.
@@ -1295,7 +1169,6 @@ impl ShardedCatalog {
             spec: generation.spec,
             memory: generation.memory,
             shards: generation.map.shards(),
-            ingest_mode: generation.mode,
             domain: generation.map.domain(),
         })
     }
@@ -1309,12 +1182,24 @@ impl ShardedCatalog {
         Ok(self.registry.get(column)?.generation().map.clone())
     }
 
-    /// How many times the column's borders have been rebuilt.
+    /// How many times the column's generation has been swapped by a
+    /// rebuild (border moves and shape changes).
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if absent.
     pub fn reshard_count(&self, column: &str) -> Result<u64, CatalogError> {
         Ok(lock(&self.registry.get(column)?.reshard).count)
+    }
+
+    /// Seeds a freshly built store to a checkpoint without replaying one
+    /// publication per historical epoch (see [`Registry::restore_at`]) —
+    /// the `DurableStore` decorator's restore path.
+    pub(crate) fn restore_at(
+        &self,
+        epoch: u64,
+        images: Vec<RestoreColumn>,
+    ) -> Result<(), CatalogError> {
+        self.registry.restore_at(epoch, images)
     }
 
     /// Policy-gated rebuild attempt after a commit touched `column`.
@@ -1393,10 +1278,9 @@ impl ShardedCatalog {
     ///    and the routing write lock: no new batch can stage into the
     ///    old generation.
     /// 2. **Drain to the barrier** — wait out commits that already
-    ///    staged (they publish and settle; channel workers are nudged by
-    ///    those settles, and the inline drain below catches any
-    ///    stragglers), read the barrier epoch, and drain every shard up
-    ///    to it. The column now has no pending entries at all.
+    ///    staged (they publish and settle), read the barrier epoch, and
+    ///    drain every shard up to it. The column now has no pending
+    ///    entries at all.
     /// 3. **Rebuild** — compose the per-shard spans (the column's full
     ///    histogram as of the barrier), resolve the plan's deltas
     ///    against the live shape, compute equal-load borders at the
@@ -1405,7 +1289,7 @@ impl ShardedCatalog {
     ///    *target* algorithm and budget (exact total via the
     ///    largest-remainder re-ingestion).
     /// 4. **Swap** — install the new generation (map + shape + cells +
-    ///    load counters + workers) in one assignment under the routing
+    ///    load counters) in one assignment under the routing
     ///    write lock. Readers pinned at or after the barrier render the
     ///    new cells; readers pinned before it retry at the barrier
     ///    epoch, exactly like any overtaken pinned read.
@@ -1484,12 +1368,9 @@ impl ShardedCatalog {
             // the shape bit-identically.
             let spec = plan.spec.unwrap_or(slot.spec);
             let memory = plan.memory.unwrap_or(slot.memory);
-            let mode = plan.ingest_mode.unwrap_or(slot.mode);
             let shards = plan.shards.unwrap_or_else(|| slot.map.shards());
-            let reshapes = spec != slot.spec
-                || memory != slot.memory
-                || mode != slot.mode
-                || shards != slot.map.shards();
+            let reshapes =
+                spec != slot.spec || memory != slot.memory || shards != slot.map.shards();
             let map = match ShardMap::balanced(&composed, slot.map.domain(), shards) {
                 Ok(map) => map,
                 Err(_) => return false,
@@ -1523,7 +1404,7 @@ impl ShardedCatalog {
             // gate) are never blocked behind it. Only a forced rebuild
             // that keeps losing the race re-ingests under the lock.
             if forced && attempt >= UNLOCKED_REBUILD_ATTEMPTS {
-                *slot = Generation::install(map, spec, memory, mode, rebuild(epoch));
+                *slot = Generation::install(map, spec, memory, rebuild(epoch));
                 meta.count += 1;
                 meta.judged_epoch = epoch;
                 meta.judged_load = 0;
@@ -1543,7 +1424,7 @@ impl ShardedCatalog {
                 }
                 return false;
             }
-            *slot = Generation::install(map, spec, memory, mode, cells);
+            *slot = Generation::install(map, spec, memory, cells);
             meta.count += 1;
             // The new generation's load counters restart at zero; the
             // autoscale throughput window restarts with them.
@@ -1556,26 +1437,21 @@ impl ShardedCatalog {
 }
 
 impl ColumnStore for ShardedCatalog {
-    /// Registers `column`, sharded per `config.plan` (required for this
-    /// store), each shard holding a fresh `config.spec` histogram. The
-    /// memory budget is divided across the shards with the remainder
-    /// bytes spread over the first shards (a `k`-sharded column spends
-    /// exactly the same total bytes as an unsharded one); the seed is
-    /// salted per shard. A `config.reshard` policy arms automatic
-    /// re-sharding.
-    ///
-    /// With [`IngestMode::Channel`] this also spawns one drain worker
-    /// thread per shard (joined when the generation is retired or the
-    /// column is dropped).
+    /// Registers `column`, sharded per `config.plan`, each shard holding
+    /// a fresh `config.spec` histogram. Without a plan the column is one
+    /// shard over the whole `i64` domain, which never clamps. The memory
+    /// budget is divided across the shards with the remainder bytes
+    /// spread over the first shards (a `k`-sharded column spends exactly
+    /// the same total bytes as a one-shard one); the seed is salted per
+    /// shard. A `config.reshard` policy arms automatic re-sharding.
     fn register(&self, column: &str, config: ColumnConfig) -> Result<(), CatalogError> {
-        let plan = config.plan.ok_or_else(|| {
-            CatalogError::InvalidShardPlan(
-                "a sharded store needs ColumnConfig::with_plan(...)".into(),
-            )
-        })?;
-        validate_policies(&config)?;
         // `ShardPlan::new` is the single validation point: plans cannot
         // be constructed degenerate, so `plan` is valid here.
+        let plan = match config.plan {
+            Some(plan) => plan,
+            None => ShardPlan::new(i64::MIN, i64::MAX, 1)?,
+        };
+        validate_policies(&config)?;
         let budgets = split_budget(config.memory, plan.shards());
         let inserted = self.registry.insert(column, || {
             let cells: Vec<Arc<Cell>> = budgets
@@ -1602,7 +1478,6 @@ impl ColumnStore for ShardedCatalog {
                     map,
                     config.spec,
                     config.memory,
-                    plan.mode(),
                     cells,
                 )),
                 clamped: AtomicU64::new(0),
@@ -1661,9 +1536,8 @@ impl ColumnStore for ShardedCatalog {
     }
 
     /// Drains every shard of `column` up to the current published epoch.
-    /// After this returns, every batch accepted before the call is in the
-    /// histograms (the read barrier for channel-mode columns; cheap for
-    /// locked ones, which drain on the write path).
+    /// Commits drain on the write path, so this finds nothing to apply
+    /// unless a commit is still settling.
     fn flush(&self, column: &str) -> Result<(), CatalogError> {
         let col = self.registry.get(column)?;
         let epoch = self.registry.epoch();
@@ -1705,8 +1579,8 @@ impl ColumnStore for ShardedCatalog {
     /// Executes `plan` against `column` behind the epoch barrier: drains
     /// to the barrier, composes the column's full histogram, resolves the
     /// plan's deltas against the live shape, and swaps in a generation
-    /// with the target shard count, algorithm, memory budget, and
-    /// ingestion mode — total mass conserved exactly (the re-ingestion's
+    /// with the target shard count, algorithm and memory budget — total
+    /// mass conserved exactly (the re-ingestion's
     /// largest-remainder contract). Returns `true`
     /// if the generation was swapped (`false` when the plan resolves to
     /// the current shape with optimal borders).
@@ -1731,6 +1605,14 @@ impl ColumnStore for ShardedCatalog {
     /// [`CatalogError::UnknownColumn`] if absent.
     fn column_shape(&self, column: &str) -> Result<Option<ColumnShape>, CatalogError> {
         self.shape(column).map(Some)
+    }
+
+    /// The generation-swap count ([`ShardedCatalog::reshard_count`]).
+    ///
+    /// # Errors
+    /// [`CatalogError::UnknownColumn`] if absent.
+    fn rebuild_seq(&self, column: &str) -> Result<u64, CatalogError> {
+        self.reshard_count(column)
     }
 
     /// Ops routed into each shard since the current shard map was
@@ -1774,12 +1656,6 @@ impl ColumnStore for ShardedCatalog {
     }
 }
 
-impl DirectRestore for ShardedCatalog {
-    fn restore_at(&self, epoch: u64, images: Vec<RestoreColumn>) -> Result<(), CatalogError> {
-        self.registry.restore_at(epoch, images)
-    }
-}
-
 impl fmt::Debug for ShardedCatalog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedCatalog")
@@ -1816,16 +1692,8 @@ mod tests {
         ));
         let msg = ShardPlan::new(10, 9, 4).unwrap_err().to_string();
         assert!(msg.contains("lo > hi"), "{msg}");
-        // A sharded store refuses a config without a plan.
+        // The store refuses a config with a degenerate re-shard policy.
         let cat = ShardedCatalog::new();
-        assert!(matches!(
-            cat.register(
-                "a",
-                ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0))
-            ),
-            Err(CatalogError::InvalidShardPlan(_))
-        ));
-        // ... and a config with a degenerate re-shard policy.
         let bad_policy = ReshardPolicy {
             skew_threshold: 0.5,
             ..ReshardPolicy::default()
@@ -1842,10 +1710,9 @@ mod tests {
         // Private fields: `ShardPlan::new` is the only constructor, so a
         // degenerate plan cannot reach a store at all. Accessors echo
         // the validated values.
-        let plan = ShardPlan::new(-5, 5, 3).unwrap().channel();
+        let plan = ShardPlan::new(-5, 5, 3).unwrap();
         assert_eq!(plan.domain(), (-5, 5));
         assert_eq!(plan.shards(), 3);
-        assert_eq!(plan.mode(), IngestMode::Channel);
     }
 
     #[test]
@@ -2144,23 +2011,132 @@ mod tests {
     }
 
     #[test]
-    fn channel_mode_applies_after_flush() {
+    fn plan_less_columns_are_one_full_domain_shard() {
         let cat = ShardedCatalog::new();
-        let plan = ShardPlan::new(0, 999, 4).unwrap().channel();
-        cat.register("a", config(AlgoSpec::Dc, 1.0, 1, plan))
-            .unwrap();
-        for b in 0..10i64 {
-            let batch: Vec<UpdateOp> = (0..500)
-                .map(|i| UpdateOp::Insert((b * 37 + i) % 1000))
-                .collect();
-            cat.apply("a", &batch).unwrap();
+        let plain = ColumnConfig::new(AlgoSpec::Dado, MemoryBudget::from_kb(1.0)).with_seed(1);
+        cat.register("a", plain).unwrap();
+        assert_eq!(
+            cat.register("a", plain),
+            Err(CatalogError::DuplicateColumn("a".into()))
+        );
+        assert_eq!(
+            cat.shape("a").unwrap(),
+            ColumnShape {
+                spec: AlgoSpec::Dado,
+                memory: MemoryBudget::from_kb(1.0),
+                shards: 1,
+                domain: (i64::MIN, i64::MAX),
+            }
+        );
+        assert_eq!(
+            cat.plan("a").unwrap(),
+            ShardPlan::new(i64::MIN, i64::MAX, 1).unwrap()
+        );
+        assert_eq!(cat.apply("a", &inserts(0..5000)).unwrap(), 1);
+        let s1 = cat.snapshot("a").unwrap();
+        assert_eq!(s1.epoch(), 1);
+        assert_eq!(s1.checkpoint(), 1);
+        assert_eq!(s1.updates(), 5000);
+        assert_eq!(s1.column(), "a");
+        assert_eq!(s1.label(), "DADO");
+        assert!((s1.total_count() - 5000.0).abs() < 1e-9);
+        assert!((s1.estimate_range(0, 4999) - 5000.0).abs() / 5000.0 < 0.02);
+        // The one shard is the bare histogram: its spans pass through
+        // composition untouched.
+        let mut bare = AlgoSpec::Dado.build(MemoryBudget::from_kb(1.0), 1);
+        bare.apply_slice(&inserts(0..5000));
+        assert_eq!(s1.spans(), bare.as_read().spans());
+        // Cached between writes, invalidated by a write; the old
+        // snapshot keeps reading its epoch.
+        assert!(s1.same_rendering(&cat.snapshot("a").unwrap()));
+        cat.apply("a", &inserts(0..10)).unwrap();
+        let s2 = cat.snapshot("a").unwrap();
+        assert!(!s1.same_rendering(&s2), "invalidated by write");
+        assert_eq!((s2.epoch(), s2.checkpoint()), (2, 2));
+        assert!((s1.total_count() - 5000.0).abs() < 1e-9);
+        assert!((s2.total_count() - 5010.0).abs() < 1e-9);
+        // The full domain never clamps, however far out a value lies.
+        cat.apply(
+            "a",
+            &[UpdateOp::Insert(-(1 << 40)), UpdateOp::Insert(1 << 40)],
+        )
+        .unwrap();
+        assert_eq!(cat.clamped_ops("a").unwrap(), 0);
+        assert_eq!(cat.shard_load("a").unwrap(), vec![5012]);
+        // One shard has no borders to move.
+        assert!(!cat.reshard("a").unwrap());
+    }
+
+    #[test]
+    fn cross_column_commits_are_atomic_and_epoch_stamped() {
+        let cat = ShardedCatalog::new();
+        let plain = ColumnConfig::new(AlgoSpec::Dado, MemoryBudget::from_kb(1.0)).with_seed(1);
+        cat.register("a", plain).unwrap();
+        cat.register(
+            "b",
+            config(AlgoSpec::Dc, 1.0, 1, ShardPlan::new(0, 199, 4).unwrap()),
+        )
+        .unwrap();
+        let mut batch = WriteBatch::new();
+        batch.extend("a", inserts(0..100));
+        batch.extend("b", inserts(0..200));
+        assert_eq!(cat.commit(batch).unwrap(), 1);
+        assert_eq!(cat.epoch(), 1);
+        let set = cat.snapshot_set(&["a", "b"]).unwrap();
+        assert_eq!(set.epoch(), 1);
+        assert_eq!(set.len(), 2);
+        assert_eq!(set.get("a").unwrap().epoch(), 1);
+        assert_eq!(set.get("b").unwrap().epoch(), 1);
+        assert!((set.get("a").unwrap().total_count() - 100.0).abs() < 1e-9);
+        assert!((set.get("b").unwrap().total_count() - 200.0).abs() < 1e-9);
+        assert_eq!(set.columns().collect::<Vec<_>>(), ["a", "b"]);
+    }
+
+    #[test]
+    fn commit_rejects_unknown_columns_without_side_effects() {
+        let cat = ShardedCatalog::new();
+        cat.register(
+            "a",
+            config(AlgoSpec::Dado, 1.0, 1, ShardPlan::new(0, 99, 2).unwrap()),
+        )
+        .unwrap();
+        let mut batch = WriteBatch::new();
+        batch.extend("a", inserts(0..50));
+        batch.insert("ghost", 1);
+        assert_eq!(
+            cat.commit(batch).unwrap_err(),
+            CatalogError::UnknownColumn("ghost".into())
+        );
+        // Nothing was staged or published.
+        assert_eq!(cat.epoch(), 0);
+        assert_eq!(cat.checkpoint("a").unwrap(), 0);
+        assert_eq!(cat.snapshot("a").unwrap().total_count(), 0.0);
+        assert!(cat.shard_load("a").unwrap().iter().all(|&l| l == 0));
+    }
+
+    #[test]
+    fn mixed_specs_per_column() {
+        let cat = ShardedCatalog::new();
+        let memory = MemoryBudget::from_kb(0.5);
+        for (name, spec) in [
+            ("dc", AlgoSpec::Dc),
+            ("svo", AlgoSpec::VOptimal),
+            ("ac", AlgoSpec::Ac { disk_factor: 20 }),
+        ] {
+            cat.register(name, ColumnConfig::new(spec, memory).with_seed(7))
+                .unwrap();
+            cat.apply(name, &inserts(0..2000)).unwrap();
         }
-        cat.flush("a").unwrap();
-        let snap = cat.snapshot("a").unwrap();
-        assert!((snap.total_count() - 5000.0).abs() < 1e-9);
-        assert_eq!(cat.checkpoint("a").unwrap(), 10);
-        // Dropping the catalog joins the workers (must not hang).
-        drop(cat);
+        assert_eq!(cat.columns(), ["ac", "dc", "svo"]);
+        assert_eq!(cat.len(), 3);
+        assert_eq!(cat.spec("svo").unwrap(), AlgoSpec::VOptimal);
+        for name in ["dc", "svo", "ac"] {
+            let est = cat.estimate_range(name, 0, 1999).unwrap();
+            assert!((est - 2000.0).abs() / 2000.0 < 0.05, "{name}: {est}");
+            assert_eq!(cat.checkpoint(name).unwrap(), 1);
+        }
+        // Three applies on three columns: three store epochs.
+        assert_eq!(cat.epoch(), 3);
     }
 
     #[test]
@@ -2236,6 +2212,7 @@ mod tests {
             CatalogError::UnknownColumn("ghost".into())
         );
         assert!(cat.snapshot("ghost").is_err());
+        assert!(cat.snapshot_set(&["ghost"]).is_err());
         assert!(cat.flush("ghost").is_err());
         assert!(cat.estimate_eq("ghost", 1).is_err());
         assert!(cat.plan("ghost").is_err());
@@ -2244,8 +2221,11 @@ mod tests {
         assert!(cat.clamped_ops("ghost").is_err());
         assert!(cat.reshard("ghost").is_err());
         assert!(cat.reshard_count("ghost").is_err());
+        assert!(cat.rebuild_seq("ghost").is_err());
         assert!(!cat.contains("ghost"));
         assert!(cat.is_empty());
+        let msg = CatalogError::UnknownColumn("ghost".into()).to_string();
+        assert!(msg.contains("ghost"));
     }
 
     #[test]
@@ -2258,5 +2238,6 @@ mod tests {
         assert_eq!(cat.apply("a", &[]).unwrap(), 2);
         assert_eq!(cat.checkpoint("a").unwrap(), 2);
         assert_eq!(cat.snapshot("a").unwrap().num_buckets(), 0);
+        assert_eq!(cat.snapshot("a").unwrap().epoch(), 2);
     }
 }

@@ -1,14 +1,14 @@
-//! [`ColumnStore`]: the one object-safe serving API every catalog
-//! implements.
+//! [`ColumnStore`]: the one object-safe serving API, plus the
+//! epoch-pinned [`Snapshot`] and [`SnapshotSet`] views it serves.
 //!
 //! The paper's deployment — an optimizer estimating multi-predicate
 //! queries while the histograms underneath are maintained in place —
-//! does not care *how* a column is stored: behind one lock
-//! ([`Catalog`](crate::Catalog)), across sharded locks, or behind
-//! per-shard ingestion workers ([`ShardedCatalog`](crate::ShardedCatalog)).
-//! This trait is that indifference made explicit: estimation code,
-//! benchmarks and the `repro serve` replay are written once against
-//! `&dyn ColumnStore` and run unchanged over every design.
+//! does not care *how* a column is stored. The in-memory store is the
+//! [`ShardedCatalog`](crate::ShardedCatalog) (a column registered
+//! without a shard plan is one shard over the whole `i64` domain); the
+//! `DurableStore` decorator, a `dh_replica` follower and a `dh_site`
+//! global catalog serve the same trait, so estimation code is written
+//! once against `&dyn ColumnStore`.
 //!
 //! Reads come in two consistency grades:
 //!
@@ -18,10 +18,10 @@
 //!   epoch, the view a join or chain estimate should read from.
 //!
 //! ```
-//! use dh_catalog::{AlgoSpec, Catalog, ColumnConfig, ColumnStore, WriteBatch};
+//! use dh_catalog::{AlgoSpec, ColumnConfig, ColumnStore, ShardedCatalog, WriteBatch};
 //! use dh_core::{MemoryBudget, ReadHistogram, UpdateOp};
 //!
-//! let store: Box<dyn ColumnStore> = Box::new(Catalog::new());
+//! let store: Box<dyn ColumnStore> = Box::new(ShardedCatalog::new());
 //! let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0));
 //! store.register("r.key", config).unwrap();
 //! store.register("s.key", config).unwrap();
@@ -36,48 +36,93 @@
 //! assert_eq!(set.get("r.key").unwrap().total_count(), 500.0);
 //! ```
 
-use crate::catalog::{CatalogError, Snapshot};
 use crate::read::{CacheKind, FrontCache, ReadStats};
 use crate::sharded::{AutoscalePolicy, ColumnShape, RebuildPlan, ReshardPolicy, ShardPlan};
 use crate::spec::AlgoSpec;
 use crate::txn::WriteBatch;
-use dh_core::{MemoryBudget, ReadHistogram, UpdateOp};
+use dh_core::{BucketSpan, HistogramCdf, MemoryBudget, ReadHistogram, UpdateOp};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// Errors surfaced by [`ColumnStore`] operations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CatalogError {
+    /// The named column has not been registered.
+    UnknownColumn(String),
+    /// The column name is already taken.
+    DuplicateColumn(String),
+    /// A shard plan failed validation (zero shards, inverted domain), or
+    /// a sharded store was asked to register a column without one.
+    InvalidShardPlan(String),
+    /// A past epoch was requested (see
+    /// [`ColumnStore::snapshot_set_at`]) that the store no longer
+    /// retains — it fell out of the time-travel ring, was dropped by an
+    /// explicit GC, or predates a recovery. Carries the requested epoch.
+    EpochEvicted(u64),
+    /// A durability failure surfaced through a [`ColumnStore`] method —
+    /// the `DurableStore` decorator could not append to or sync its
+    /// epoch changelog. Carries the underlying `dh_wal` error rendered
+    /// to a string (the trait's error type predates the durability
+    /// layer; `DurableStore::open` returns the fully-typed error).
+    Durability(String),
+    /// The store is a read replica (a `dh_replica` `Follower`): it
+    /// replays mutations from the leader's changelog and accepts none
+    /// of its own. Route the write to the leader.
+    ReadOnlyReplica,
+}
+
+impl fmt::Display for CatalogError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CatalogError::UnknownColumn(c) => write!(f, "unknown column '{c}'"),
+            CatalogError::DuplicateColumn(c) => write!(f, "column '{c}' already registered"),
+            CatalogError::InvalidShardPlan(why) => write!(f, "invalid shard plan: {why}"),
+            CatalogError::EpochEvicted(epoch) => {
+                write!(f, "epoch {epoch} is no longer retained for time travel")
+            }
+            CatalogError::Durability(why) => write!(f, "durability failure: {why}"),
+            CatalogError::ReadOnlyReplica => {
+                write!(
+                    f,
+                    "store is a read-only replica; route mutations to the leader"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for CatalogError {}
+
 /// Everything a store needs to know to register one column: the
-/// algorithm, its memory budget, a seed for sampling algorithms, and —
-/// for stores that partition — an optional [`ShardPlan`] plus an
-/// optional [`ReshardPolicy`] arming dynamic re-sharding.
+/// algorithm, its memory budget, a seed for sampling algorithms, an
+/// optional [`ShardPlan`], and optional [`ReshardPolicy`] /
+/// [`AutoscalePolicy`] arming automatic rebuilds.
 ///
-/// The same config registers against any [`ColumnStore`]: a sharded
-/// store requires the plan, an unsharded one serves the whole domain
-/// from a single histogram and ignores it (the plan describes physical
-/// partitioning, not semantics), so generic callers need no per-store
-/// branching. The re-shard policy is likewise ignored by stores that do
-/// not shard.
+/// Without a plan the column is one shard over the whole `i64` domain:
+/// a single histogram that never clamps a value.
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnConfig {
     /// Histogram algorithm backing the column.
     pub spec: AlgoSpec,
-    /// Memory budget for the column (a sharded store divides it across
-    /// shards, remainder bytes going to the first shards, so every store
-    /// spends the same total bytes).
+    /// Memory budget for the column (divided across its shards,
+    /// remainder bytes going to the first shards, so the column spends
+    /// the same total bytes at any shard count).
     pub memory: MemoryBudget,
     /// Seed feeding sampling algorithms (see [`AlgoSpec::build`]);
     /// deterministic algorithms ignore it. Defaults to 0.
     pub seed: u64,
-    /// How to partition the column's value domain, for stores that shard.
+    /// How to partition the column's value domain (`None`: one shard
+    /// over the whole `i64` domain).
     pub plan: Option<ShardPlan>,
-    /// When to move the shard borders automatically, for stores that
-    /// shard (`None` keeps the borders static unless
-    /// [`ColumnStore::reshard`] is called explicitly).
+    /// When to move the shard borders automatically (`None` keeps the
+    /// borders static unless [`ColumnStore::reshard`] is called
+    /// explicitly).
     pub reshard: Option<ReshardPolicy>,
     /// When to *rebuild the column's shape* automatically — scale the
     /// shard count with the routed throughput, rebalance skewed borders
-    /// — for stores that shard (the elastic generalization of `reshard`;
-    /// both may be armed, the re-shard policy is judged first).
+    /// (the elastic generalization of `reshard`; both may be armed, the
+    /// re-shard policy is judged first).
     pub autoscale: Option<AutoscalePolicy>,
 }
 
@@ -143,9 +188,9 @@ impl Eq for ColumnConfig {}
 /// consistent snapshots, estimate.
 ///
 /// Object-safe by design — `Box<dyn ColumnStore>` / `&dyn ColumnStore`
-/// is how `dh_bench::serve`, the `repro serve` replay and the generic
-/// test suites drive the single-lock, sharded-lock and channel designs
-/// through literally the same code path.
+/// is how the durable decorator, replicas, sites and the generic test
+/// suites drive the in-memory store and each other through one code
+/// path.
 ///
 /// # Consistency contract
 ///
@@ -160,8 +205,7 @@ pub trait ColumnStore: Send + Sync {
     ///
     /// # Errors
     /// [`CatalogError::DuplicateColumn`] if the name is taken;
-    /// [`CatalogError::InvalidShardPlan`] if this store shards and
-    /// `config.plan` is absent.
+    /// [`CatalogError::InvalidShardPlan`] on a degenerate policy.
     fn register(&self, column: &str, config: ColumnConfig) -> Result<(), CatalogError>;
 
     /// The registered column names, sorted.
@@ -196,8 +240,8 @@ pub trait ColumnStore: Send + Sync {
     fn apply(&self, column: &str, batch: &[UpdateOp]) -> Result<u64, CatalogError>;
 
     /// Blocks until every batch accepted for `column` before this call is
-    /// applied to its histograms. A no-op for synchronous stores; the
-    /// read barrier for channel-ingesting ones.
+    /// applied to its histograms. Commits apply before they return, so
+    /// on the built-in stores this only checks the name.
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if absent.
@@ -255,8 +299,8 @@ pub trait ColumnStore: Send + Sync {
     /// Rebuilds `column`'s shard borders from its current data
     /// distribution, behind the store's epoch barrier (see
     /// [`ShardedCatalog`](crate::ShardedCatalog)). Returns whether the
-    /// borders actually moved. Stores that do not partition have no
-    /// borders to move and return `Ok(false)`.
+    /// borders actually moved. Stores that cannot rebuild (a global
+    /// catalog) return `Ok(false)`.
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if absent.
@@ -266,12 +310,12 @@ pub trait ColumnStore: Send + Sync {
     }
 
     /// Rebuilds `column`'s live shape per `plan` — shard count,
-    /// algorithm, memory budget, ingestion mode — behind the store's
-    /// epoch barrier with exact mass conservation (see
+    /// algorithm, memory budget — behind the store's epoch barrier with
+    /// exact mass conservation (see
     /// [`ShardedCatalog`](crate::ShardedCatalog)). Returns whether the
-    /// column's generation was actually swapped. Stores that do not
-    /// partition have no shape to change and return `Ok(false)`;
-    /// [`ColumnStore::reshard`] is the all-`None` special case.
+    /// column's generation was actually swapped. Stores that cannot
+    /// rebuild return `Ok(false)`; [`ColumnStore::reshard`] is the
+    /// all-`None` special case.
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if absent;
@@ -287,10 +331,10 @@ pub trait ColumnStore: Send + Sync {
         Ok(false)
     }
 
-    /// The column's *live* shape (shard count, algorithm, memory,
-    /// ingestion mode) after any rebuilds — `None` for stores that do
-    /// not track one (unsharded stores; [`ColumnStore::spec`] always
-    /// reports the frozen *registration* algorithm, by contrast).
+    /// The column's *live* shape (shard count, algorithm, memory) after
+    /// any rebuilds — `None` for stores that do not track one (a global
+    /// catalog; [`ColumnStore::spec`] always reports the frozen
+    /// *registration* algorithm, by contrast).
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if absent.
@@ -299,10 +343,23 @@ pub trait ColumnStore: Send + Sync {
         Ok(None)
     }
 
+    /// The column's rebuild ordinal: how many generation swaps it has
+    /// applied — for a `DurableStore`, the ordinal of the last rebuild
+    /// it logged, which survives a reopen. Replaying another store's
+    /// changelog onto this one skips every rebuild record whose ordinal
+    /// is at or below it. `0` for stores that never rebuild.
+    ///
+    /// # Errors
+    /// [`CatalogError::UnknownColumn`] if absent.
+    fn rebuild_seq(&self, column: &str) -> Result<u64, CatalogError> {
+        self.spec(column)?;
+        Ok(0)
+    }
+
     /// Ops routed into each shard of `column` under its current shard
     /// map (one counter per shard; reset whenever the borders move) —
-    /// the skew signal a [`ReshardPolicy`] judges. Stores that do not
-    /// partition return an empty vector.
+    /// the skew signal a [`ReshardPolicy`] judges. Stores without shards
+    /// of their own (a global catalog) return an empty vector.
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if absent.
@@ -315,8 +372,8 @@ pub trait ColumnStore: Send + Sync {
     /// shard domain and were clamped into an edge shard. Routing is
     /// total (clamped ops are ingested, never dropped), but the clamp
     /// widens the edge shards' effective ranges — this counter makes
-    /// that visible instead of silent. Stores that do not partition
-    /// have no domain to clamp against and return 0.
+    /// that visible instead of silent. A plan-less column spans the
+    /// whole `i64` domain and never clamps.
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if absent.
@@ -337,7 +394,7 @@ pub trait ColumnStore: Send + Sync {
 
     /// Estimated number of values in `[a, b]` on `column`.
     ///
-    /// On both built-in stores this is the wait-free hot path: it reads
+    /// On the in-memory store this is the wait-free hot path: it reads
     /// the current front generation (one atomic pointer chase, no lock,
     /// no retry) and memoizes the answer in that generation's predicate
     /// cache — see `docs/READ_PATH.md`.
@@ -525,5 +582,169 @@ impl fmt::Debug for SnapshotSet {
             .field("epoch", &self.epoch)
             .field("columns", &self.snaps.keys().collect::<Vec<_>>())
             .finish()
+    }
+}
+
+struct SnapshotInner {
+    column: String,
+    label: String,
+    epoch: u64,
+    checkpoint: u64,
+    updates: u64,
+    total: f64,
+    spans: Vec<BucketSpan>,
+    cdf: HistogramCdf,
+}
+
+/// A cheap, immutable view of one column's histogram, pinned to a
+/// published epoch.
+///
+/// [`ColumnStore::snapshot`] always pins the epoch current at the call
+/// — but that is a property of how the snapshot was *obtained*, not of
+/// the type: a snapshot held across later commits keeps serving its
+/// epoch, and stores with a retention ring (the `DurableStore`
+/// decorator) hand out snapshots of *past* epochs through
+/// [`ColumnStore::snapshot_set_at`] until retention evicts them
+/// ([`CatalogError::EpochEvicted`]).
+///
+/// Cloning is one `Arc` bump; the snapshot implements [`ReadHistogram`]
+/// (with a precomputed CDF, so estimates don't re-render spans) and can
+/// be fed anywhere a histogram is expected — including `dh_optimizer`'s
+/// join estimators, which is how mixed-algorithm joins run straight off
+/// a store.
+#[derive(Clone)]
+pub struct Snapshot {
+    inner: Arc<SnapshotInner>,
+}
+
+impl Snapshot {
+    /// Assembles a snapshot from rendered spans (shared by every
+    /// [`ColumnStore`] implementation).
+    pub(crate) fn from_parts(
+        column: String,
+        label: String,
+        epoch: u64,
+        checkpoint: u64,
+        updates: u64,
+        spans: Vec<BucketSpan>,
+    ) -> Self {
+        Snapshot {
+            inner: Arc::new(SnapshotInner {
+                column,
+                label,
+                epoch,
+                checkpoint,
+                updates,
+                total: spans.iter().map(|s| s.count).sum(),
+                cdf: HistogramCdf::from_spans(spans.clone()),
+                spans,
+            }),
+        }
+    }
+
+    /// The same rendered spans under a newer epoch/counter stamp — used
+    /// when a version-matched cache hit raced with a commit that left the
+    /// spans identical (an empty batch, or commits to other columns).
+    pub(crate) fn restamped(&self, epoch: u64, checkpoint: u64, updates: u64) -> Snapshot {
+        Snapshot {
+            inner: Arc::new(SnapshotInner {
+                column: self.inner.column.clone(),
+                label: self.inner.label.clone(),
+                epoch,
+                checkpoint,
+                updates,
+                total: self.inner.total,
+                cdf: self.inner.cdf.clone(),
+                spans: self.inner.spans.clone(),
+            }),
+        }
+    }
+
+    /// The column this snapshot was taken from.
+    pub fn column(&self) -> &str {
+        &self.inner.column
+    }
+
+    /// The algorithm label of the owning column (paper legend string).
+    pub fn label(&self) -> &str {
+        &self.inner.label
+    }
+
+    /// The store epoch this snapshot is pinned to: it contains exactly
+    /// the batches published at or before this epoch — whole batches
+    /// only. Snapshots of a [`SnapshotSet`] all
+    /// share one epoch.
+    pub fn epoch(&self) -> u64 {
+        self.inner.epoch
+    }
+
+    /// The column's accepted-batch count as of the pinned epoch (stamped
+    /// under the publication gate, so it counts exactly the batches this
+    /// snapshot contains).
+    pub fn checkpoint(&self) -> u64 {
+        self.inner.checkpoint
+    }
+
+    /// The column's accepted-update count as of the pinned epoch.
+    pub fn updates(&self) -> u64 {
+        self.inner.updates
+    }
+
+    /// Whether two snapshots share the same underlying rendering (used
+    /// by cache tests; clones of one snapshot always do).
+    #[cfg(test)]
+    pub(crate) fn same_rendering(&self, other: &Snapshot) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+}
+
+impl fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Snapshot")
+            .field("column", &self.inner.column)
+            .field("label", &self.inner.label)
+            .field("epoch", &self.inner.epoch)
+            .field("checkpoint", &self.inner.checkpoint)
+            .field("buckets", &self.inner.spans.len())
+            .finish()
+    }
+}
+
+impl ReadHistogram for Snapshot {
+    fn spans(&self) -> Vec<BucketSpan> {
+        self.inner.spans.clone()
+    }
+
+    fn for_each_span(&self, f: &mut dyn FnMut(&BucketSpan)) {
+        for s in &self.inner.spans {
+            f(s);
+        }
+    }
+
+    fn total_count(&self) -> f64 {
+        self.inner.total
+    }
+
+    fn num_buckets(&self) -> usize {
+        self.inner.spans.len()
+    }
+
+    fn cdf(&self) -> HistogramCdf {
+        self.inner.cdf.clone()
+    }
+
+    fn estimate_less_than(&self, x: f64) -> f64 {
+        self.inner.cdf.mass_below(x)
+    }
+
+    fn estimate_le(&self, v: i64) -> f64 {
+        self.inner.cdf.mass_below(v as f64 + 1.0)
+    }
+
+    fn estimate_range(&self, a: i64, b: i64) -> f64 {
+        if a > b {
+            return 0.0;
+        }
+        self.inner.cdf.mass_in(a as f64, b as f64 + 1.0)
     }
 }

@@ -19,15 +19,14 @@
 //!
 //! Application into the actual histograms happens *after* publication, in
 //! strict epoch order, by whoever needs the data first — the committing
-//! writer (locked ingestion), a per-shard worker (channel ingestion), or
-//! a reader rendering a snapshot. Because any drain applies *all* pending
+//! writer, or a pinned render. Because any drain applies *all* pending
 //! entries up to its target epoch and none beyond, a reader pinning epoch
 //! `E` observes exactly the batches published at or before `E` — whole
 //! batches only, never a torn one.
 
-use crate::catalog::{CatalogError, Snapshot};
 use crate::read::{CacheKind, LeftRightCell, ReadCounters, ReadGeneration, ReadStats};
-use crate::store::SnapshotSet;
+use crate::sharded::ShardedColumn;
+use crate::store::{CatalogError, Snapshot, SnapshotSet};
 use dh_core::{BoxedHistogram, BucketSpan, UpdateOp};
 use dh_distributed::superimpose;
 use std::collections::BTreeMap;
@@ -42,10 +41,10 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 /// [`ColumnStore::commit`](crate::ColumnStore::commit):
 ///
 /// ```
-/// use dh_catalog::{Catalog, ColumnConfig, ColumnStore, AlgoSpec, WriteBatch};
+/// use dh_catalog::{AlgoSpec, ColumnConfig, ColumnStore, ShardedCatalog, WriteBatch};
 /// use dh_core::MemoryBudget;
 ///
-/// let store = Catalog::new();
+/// let store = ShardedCatalog::new();
 /// let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(0.5));
 /// store.register("orders.amount", config).unwrap();
 /// store.register("orders.qty", config).unwrap();
@@ -221,40 +220,6 @@ pub(crate) struct ColumnStamp {
     pub updates: u64,
 }
 
-/// One column of a store, as the shared protocol sees it: somewhere to
-/// stage ops, a publish-consistent stamp, a post-publication settle
-/// step, and a pinned renderer. Implemented by both stores' column
-/// types so the protocol-critical choreography (stage → publish →
-/// settle on the write side, gated stamp read → pinned render on the
-/// read side) lives here, once, in [`Registry`].
-pub(crate) trait StoreColumn {
-    /// Staging token carried from [`StoreColumn::stage_ops`] to
-    /// [`StoreColumn::settle`] (e.g. which shards a batch touched).
-    type Staged;
-
-    /// The column's registered name.
-    fn name(&self) -> &str;
-
-    /// Phase 1: queue `ops` under `ticket`, invisible until published.
-    fn stage_ops(&self, ticket: &Arc<BatchTicket>, ops: Vec<UpdateOp>) -> Self::Staged;
-
-    /// The column's publish-consistent counters.
-    fn stamp(&self) -> &Mutex<ColumnStamp>;
-
-    /// Phase 3: apply (or delegate applying) the published entries.
-    fn settle(&self, staged: &Self::Staged, epoch: u64);
-
-    /// Renders the column at exactly `epoch`, stamping the snapshot from
-    /// the already-validated `stamp` (retry token on `Err`).
-    fn render_at(&self, epoch: u64, stamp: ColumnStamp) -> Result<Snapshot, u64>;
-
-    /// Restore path: applies `ops` straight into the column's cells with
-    /// the content marked as-of `epoch`, bypassing the stage/publish
-    /// pipeline. Only for checkpoint recovery on an exclusively-owned
-    /// store (see [`Registry::restore_at`]).
-    fn restore_content(&self, epoch: u64, ops: Vec<UpdateOp>);
-}
-
 /// One column's image inside a checkpoint being restored: its exact
 /// historical counters plus the ops synthesized from its checkpointed
 /// spans.
@@ -269,23 +234,13 @@ pub(crate) struct RestoreColumn {
     pub ops: Vec<UpdateOp>,
 }
 
-/// Seam for the `DurableStore` decorator's checkpoint restore: every
-/// concrete store exposes [`Registry::restore_at`] through it, so the
-/// durable layer can seed a freshly built store without replaying one
-/// pad commit per historical epoch.
-pub(crate) trait DirectRestore {
-    /// See [`Registry::restore_at`].
-    fn restore_at(&self, epoch: u64, images: Vec<RestoreColumn>) -> Result<(), CatalogError>;
-}
-
-/// The shared store chassis: the named-column map plus the epoch clock,
-/// carrying every [`crate::ColumnStore`] behavior that is identical
-/// across designs — registration bookkeeping, the two-phase commit
-/// choreography, and the gated pinned-read protocol. The concrete
-/// stores only supply column construction, per-column
-/// staging/settling/rendering (via [`StoreColumn`]).
-pub(crate) struct Registry<T> {
-    columns: RwLock<BTreeMap<String, Arc<T>>>,
+/// The store chassis: the named-column map plus the epoch clock,
+/// carrying the protocol-critical choreography — registration
+/// bookkeeping, the two-phase commit (stage → publish → settle), and
+/// the gated pinned-read protocol (stamp read under the gate → pinned
+/// render). The columns supply staging, settling and rendering.
+pub(crate) struct Registry {
+    columns: RwLock<BTreeMap<String, Arc<ShardedColumn>>>,
     clock: EpochClock,
     /// The wait-free read front: the latest rendered whole-store
     /// generation, swapped (never mutated) by writers. See
@@ -294,7 +249,7 @@ pub(crate) struct Registry<T> {
     counters: Arc<ReadCounters>,
 }
 
-impl<T> Default for Registry<T> {
+impl Default for Registry {
     fn default() -> Self {
         let counters = Arc::new(ReadCounters::default());
         Self {
@@ -306,10 +261,14 @@ impl<T> Default for Registry<T> {
     }
 }
 
-impl<T: StoreColumn> Registry<T> {
+impl Registry {
     /// Registers a column under `name`, building it with `build` only
     /// if the name is free.
-    pub(crate) fn insert(&self, name: &str, build: impl FnOnce() -> T) -> Result<(), CatalogError> {
+    pub(crate) fn insert(
+        &self,
+        name: &str,
+        build: impl FnOnce() -> ShardedColumn,
+    ) -> Result<(), CatalogError> {
         {
             let mut columns = write_lock(&self.columns);
             if columns.contains_key(name) {
@@ -324,7 +283,7 @@ impl<T: StoreColumn> Registry<T> {
     }
 
     /// The column registered under `name`.
-    pub(crate) fn get(&self, name: &str) -> Result<Arc<T>, CatalogError> {
+    pub(crate) fn get(&self, name: &str) -> Result<Arc<ShardedColumn>, CatalogError> {
         read_lock(&self.columns)
             .get(name)
             .cloned()
@@ -348,7 +307,7 @@ impl<T: StoreColumn> Registry<T> {
 
     /// The accepted-batch count of `name`.
     pub(crate) fn checkpoint(&self, name: &str) -> Result<u64, CatalogError> {
-        Ok(lock(self.get(name)?.stamp()).accepted)
+        Ok(lock(&self.get(name)?.stamp).accepted)
     }
 
     /// Commits one multi-column batch: resolve every column first (an
@@ -373,7 +332,7 @@ impl<T: StoreColumn> Registry<T> {
         }
         let epoch = self.clock.publish(&ticket, |e| {
             for (column, _, n) in &staged {
-                let mut stamp = lock(column.stamp());
+                let mut stamp = lock(&column.stamp);
                 stamp.epoch = e;
                 stamp.accepted += 1;
                 stamp.updates += *n;
@@ -402,7 +361,7 @@ impl<T: StoreColumn> Registry<T> {
         let token = column.stage_ops(&ticket, ops.to_vec());
         let mut checkpoint = 0;
         let epoch = self.clock.publish(&ticket, |e| {
-            let mut stamp = lock(column.stamp());
+            let mut stamp = lock(&column.stamp);
             stamp.epoch = e;
             stamp.accepted += 1;
             stamp.updates += ops.len() as u64;
@@ -421,11 +380,16 @@ impl<T: StoreColumn> Registry<T> {
     /// `gate_held` the caller already owns the gate (the starvation
     /// fallback of [`Registry::render_pinned`]; `Mutex` is not
     /// reentrant).
-    fn attempt(&self, column: &T, epoch: u64, gate_held: bool) -> Result<Snapshot, u64> {
+    fn attempt(
+        &self,
+        column: &ShardedColumn,
+        epoch: u64,
+        gate_held: bool,
+    ) -> Result<Snapshot, u64> {
         let stamp = if gate_held {
-            *lock(column.stamp())
+            *lock(&column.stamp)
         } else {
-            self.clock.consistent(|| *lock(column.stamp()))
+            self.clock.consistent(|| *lock(&column.stamp))
         };
         if stamp.epoch > epoch {
             return Err(stamp.epoch);
@@ -492,7 +456,7 @@ impl<T: StoreColumn> Registry<T> {
             self.counters.count_fast();
             return Ok(set);
         }
-        let columns: Vec<Arc<T>> = names
+        let columns: Vec<Arc<ShardedColumn>> = names
             .iter()
             .map(|name| self.get(name))
             .collect::<Result<_, _>>()?;
@@ -500,10 +464,7 @@ impl<T: StoreColumn> Registry<T> {
         Ok(self.render_pinned(|epoch, gate_held| {
             let mut snaps = BTreeMap::new();
             for column in &columns {
-                snaps.insert(
-                    column.name().to_string(),
-                    self.attempt(column, epoch, gate_held)?,
-                );
+                snaps.insert(column.name.clone(), self.attempt(column, epoch, gate_held)?);
             }
             Ok(SnapshotSet::new(epoch, snaps))
         }))
@@ -566,7 +527,7 @@ impl<T: StoreColumn> Registry<T> {
         for image in images {
             let column = self.get(&image.name)?;
             {
-                let mut stamp = lock(column.stamp());
+                let mut stamp = lock(&column.stamp);
                 *stamp = ColumnStamp {
                     epoch: if image.accepted > 0 { epoch } else { 0 },
                     accepted: image.accepted,
@@ -589,14 +550,11 @@ impl<T: StoreColumn> Registry<T> {
     /// newer generation first) are simply dropped — the incumbent then
     /// already covers this writer's epoch.
     pub(crate) fn refresh_front(&self, force: bool) {
-        let columns: Vec<Arc<T>> = read_lock(&self.columns).values().cloned().collect();
+        let columns: Vec<Arc<ShardedColumn>> = read_lock(&self.columns).values().cloned().collect();
         let generation = self.render_pinned(|epoch, gate_held| {
             let mut snaps = BTreeMap::new();
             for column in &columns {
-                snaps.insert(
-                    column.name().to_string(),
-                    self.attempt(column, epoch, gate_held)?,
-                );
+                snaps.insert(column.name.clone(), self.attempt(column, epoch, gate_held)?);
             }
             Ok(ReadGeneration::new(epoch, snaps, self.counters.clone()))
         });
@@ -634,8 +592,8 @@ struct CellState {
     scratch: Vec<BucketSpan>,
 }
 
-/// One unit of histogram state: a whole unsharded column, or one shard of
-/// a sharded one. Writers stage into `pending` (brief mutex, never
+/// One unit of histogram state: one shard of a column. Writers stage
+/// into `pending` (brief mutex, never
 /// blocked by in-progress histogram maintenance); drains move published
 /// entries into the histogram in epoch order under the state lock.
 pub(crate) struct Cell {
@@ -722,9 +680,9 @@ impl Cell {
         if ready.is_empty() {
             return Ok(());
         }
-        // Epoch order makes replay deterministic: locked and channel
-        // ingestion produce bit-identical histograms for the same commit
-        // sequence, whichever thread ends up draining.
+        // Epoch order makes replay deterministic: the same commit
+        // sequence produces bit-identical histograms, whichever thread
+        // ends up draining.
         ready.sort_by_key(|&(e, _)| e);
         for (e, ops) in ready {
             state.histogram.apply_slice(&ops);
@@ -843,8 +801,8 @@ pub(crate) fn compose_at(
             return Ok(snap);
         }
     }
-    // A single cell's spans pass through unchanged (bit-identical to the
-    // unsharded render); several cells superimpose losslessly.
+    // A single cell's spans pass through unchanged (bit-identical to a
+    // bare histogram's render); several cells superimpose losslessly.
     let spans = if parts.len() == 1 {
         parts.pop().expect("one part")
     } else {

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use dh_catalog::durable::{config_from_record, plan_from_deltas, restore_base, strip_policy};
 use dh_catalog::{
     AlgoSpec, CatalogError, ColumnConfig, ColumnShape, ColumnStore, DurableError, ReadStats,
-    RebuildPlan, Snapshot, SnapshotSet, StoreKind, WriteBatch,
+    RebuildPlan, ShardedCatalog, Snapshot, SnapshotSet, StoreKind, WriteBatch,
 };
 use dh_core::UpdateOp;
 use dh_wal::segment::latest_checkpoint;
@@ -55,7 +55,7 @@ enum Applied {
 
 /// The state readers see, swapped atomically on checkpoint fallback.
 struct ServingState {
-    store: Box<dyn ColumnStore>,
+    store: ShardedCatalog,
 }
 
 /// The tailing side, serialized under one lock so concurrent `poll`
@@ -63,11 +63,6 @@ struct ServingState {
 struct TailState {
     reader: TailReader,
     configs: BTreeMap<String, ColumnConfig>,
-    /// Per column, the highest legacy re-shard barrier already applied
-    /// — a gap rewind can re-read such a record at exactly the current
-    /// epoch, and applying it twice could recompute borders the leader
-    /// only computed once.
-    resharded: BTreeMap<String, u64>,
     /// Per column, the highest rebuild ordinal
     /// ([`WalRecord::Rebuild::seq`]) already applied. Rebuilds dedup on
     /// the ordinal, not the barrier: rebuilds publish no epoch, so two
@@ -91,7 +86,7 @@ struct TailState {
 /// use dh_catalog::{ColumnStore, StoreKind};
 /// use dh_replica::Follower;
 ///
-/// let follower = Follower::open("leader-wal-dir", StoreKind::Single).unwrap();
+/// let follower = Follower::open("leader-wal-dir", StoreKind::Sharded).unwrap();
 /// loop {
 ///     follower.poll().unwrap();
 ///     if follower.contains("amount") {
@@ -127,7 +122,7 @@ impl Follower {
         let dir = dir.into();
         let checkpoint = load_checkpoint(&dir, kind)?;
         let base = checkpoint.as_ref().map_or(0, |ckpt| ckpt.epoch);
-        let (store, configs) = restore_base(kind, checkpoint.as_ref())?;
+        let (store, configs) = restore_base(checkpoint.as_ref())?;
         let rebuilt = checkpoint.as_ref().map(seed_rebuilt).unwrap_or_default();
         let mut reader = TailReader::new(&dir, kind.tag());
         if base > 0 {
@@ -140,7 +135,6 @@ impl Follower {
             tail: Mutex::new(TailState {
                 reader,
                 configs,
-                resharded: BTreeMap::new(),
                 rebuilt,
             }),
             hint: AtomicU64::new(base),
@@ -159,7 +153,7 @@ impl Follower {
 
     /// A monotone lower bound on the leader's published epoch, learned
     /// from the last [`poll`](Follower::poll): commit epochs and
-    /// re-shard barriers seen in the log, plus segment and checkpoint
+    /// rebuild barriers seen in the log, plus segment and checkpoint
     /// file names (a segment starting at `S` proves the leader
     /// published `S - 1`). Never overshoots the leader.
     pub fn leader_epoch_hint(&self) -> u64 {
@@ -200,15 +194,11 @@ impl Follower {
             TailStatus::Lost => self.fall_back(&mut tail, &mut applied)?,
             TailStatus::CaughtUp => {
                 let TailState {
-                    configs,
-                    resharded,
-                    rebuilt,
-                    ..
+                    configs, rebuilt, ..
                 } = &mut *tail;
                 match apply_records(
-                    serving.store.as_ref(),
+                    &serving.store,
                     configs,
-                    resharded,
                     rebuilt,
                     polled.records,
                     &mut applied,
@@ -259,8 +249,7 @@ impl Follower {
             tail.reader.seek(old_epoch);
             return Ok(PollStatus::Stalled);
         };
-        let (store, mut configs) = restore_base(self.kind, Some(&ckpt))?;
-        let mut resharded = BTreeMap::new();
+        let (store, mut configs) = restore_base(Some(&ckpt))?;
         // Seed the rebuild-ordinal floor from the checkpoint: a rebuild
         // record at exactly the checkpoint epoch is still in the log
         // tail, and only its ordinal proves it is already inside the
@@ -278,9 +267,8 @@ impl Follower {
             }
             TailStatus::CaughtUp => matches!(
                 apply_records(
-                    store.as_ref(),
+                    &store,
                     &mut configs,
-                    &mut resharded,
                     &mut rebuilt,
                     polled.records,
                     &mut restored_applied,
@@ -309,7 +297,6 @@ impl Follower {
             .unwrap_or_else(|poisoned| poisoned.into_inner()) = Arc::new(ServingState { store });
         tail.reader = reader;
         tail.configs = configs;
-        tail.resharded = resharded;
         tail.rebuilt = rebuilt;
         Ok(PollStatus::Restored)
     }
@@ -362,9 +349,8 @@ fn seed_rebuilt(ckpt: &dh_wal::Checkpoint) -> BTreeMap<String, u64> {
 /// log; a gap there is data loss), a follower treats it as a segment
 /// that has not arrived yet and reports [`Applied::Gap`] for a retry.
 fn apply_records(
-    store: &dyn ColumnStore,
+    store: &ShardedCatalog,
     configs: &mut BTreeMap<String, ColumnConfig>,
-    resharded: &mut BTreeMap<String, u64>,
     rebuilt: &mut BTreeMap<String, u64>,
     records: Vec<WalRecord>,
     applied: &mut u64,
@@ -404,27 +390,6 @@ fn apply_records(
                 store.commit(batch)?;
                 *applied += 1;
             }
-            // Legacy records: written before the elastic rebuild plane
-            // (today's leaders log every border move as `Rebuild`). At
-            // most one could land per barrier, so the barrier doubles as
-            // its identity and the dedup below is sound for them.
-            WalRecord::Reshard { column, barrier } => {
-                let at = store.epoch();
-                if barrier < at || resharded.get(&column).is_some_and(|&b| barrier <= b) {
-                    // The leader appends under one lock, so the byte
-                    // stream is a prefix in epoch order: having applied
-                    // any commit past `barrier` proves this re-shard
-                    // was already replayed (or checkpoint-covered) —
-                    // likewise one re-read at exactly the current epoch
-                    // after a gap rewind.
-                    continue;
-                }
-                if barrier > at {
-                    return Ok(Applied::Gap);
-                }
-                store.reshard(&column)?;
-                resharded.insert(column, barrier);
-            }
             WalRecord::Rebuild {
                 column,
                 barrier,
@@ -432,13 +397,13 @@ fn apply_records(
                 shards,
                 spec,
                 memory_bytes,
-                channel,
             } => {
                 let at = store.epoch();
                 if barrier < at || rebuilt.get(&column).is_some_and(|&s| seq <= s) {
-                    // A commit past `barrier` proves this rebuild was
-                    // already replayed or checkpoint-covered (the same
-                    // prefix-order argument as for re-shard records).
+                    // The leader appends under one lock, so the byte
+                    // stream is a prefix in epoch order: a commit past
+                    // `barrier` proves this rebuild was already
+                    // replayed or checkpoint-covered.
                     // At the barrier itself only the ordinal decides:
                     // rebuilds publish no epoch, so a *distinct* second
                     // rebuild at the same barrier (seq above the floor)
@@ -449,7 +414,7 @@ fn apply_records(
                 if barrier > at {
                     return Ok(Applied::Gap);
                 }
-                let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes, channel)?;
+                let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes)?;
                 store.rebuild(&column, plan)?;
                 rebuilt.insert(column, seq);
             }
@@ -584,11 +549,11 @@ mod tests {
     #[test]
     fn follower_tails_a_shared_directory() {
         let dir = TempDir::new("fol-shared");
-        let leader = DurableStore::open(dir.path(), StoreKind::Single, opts()).unwrap();
+        let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts()).unwrap();
         leader.register("c", config()).unwrap();
         leader.apply("c", &[UpdateOp::Insert(5)]).unwrap();
 
-        let follower = Follower::open(dir.path(), StoreKind::Single).unwrap();
+        let follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
         let report = follower.poll().unwrap();
         assert_eq!(report.status, PollStatus::CaughtUp);
         assert_eq!(report.applied, 1);
@@ -614,8 +579,8 @@ mod tests {
     #[test]
     fn mutations_are_typed_read_only_rejections() {
         let dir = TempDir::new("fol-ro");
-        drop(DurableStore::open(dir.path(), StoreKind::Single, opts()).unwrap());
-        let follower = Follower::open(dir.path(), StoreKind::Single).unwrap();
+        drop(DurableStore::open(dir.path(), StoreKind::Sharded, opts()).unwrap());
+        let follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
 
         assert!(matches!(
             follower.register("c", config()),
@@ -648,11 +613,11 @@ mod tests {
     fn missing_directory_starts_empty_and_catches_up_later() {
         let root = TempDir::new("fol-late");
         let dir = root.path().join("wal");
-        let follower = Follower::open(&dir, StoreKind::Single).unwrap();
+        let follower = Follower::open(&dir, StoreKind::Sharded).unwrap();
         assert_eq!(follower.poll().unwrap().status, PollStatus::CaughtUp);
         assert_eq!(follower.epoch(), 0);
 
-        let leader = DurableStore::open(&dir, StoreKind::Single, opts()).unwrap();
+        let leader = DurableStore::open(&dir, StoreKind::Sharded, opts()).unwrap();
         leader.register("c", config()).unwrap();
         leader.apply("c", &[UpdateOp::Insert(5)]).unwrap();
         assert_eq!(follower.poll().unwrap().applied, 1);
@@ -662,10 +627,10 @@ mod tests {
     #[test]
     fn pruned_log_falls_back_to_checkpoint_restore() {
         let dir = TempDir::new("fol-prune");
-        let leader = DurableStore::open(dir.path(), StoreKind::Single, opts()).unwrap();
+        let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts()).unwrap();
         leader.register("c", config()).unwrap();
 
-        let follower = Follower::open(dir.path(), StoreKind::Single).unwrap();
+        let follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
         follower.poll().unwrap();
 
         // The leader runs ahead and checkpoints twice: the segment the

@@ -8,14 +8,15 @@
 //! running inside the source site) and applies them with the same
 //! idempotent rules — re-read registers and already-applied commits are
 //! skipped, an epoch gap stops the replay instead of corrupting the
-//! target, and re-shard barriers replay exactly once. The rules are
-//! written down as the *catch-up rule* in `docs/GLOBAL.md`.
+//! target, and each rebuild replays exactly once, across calls too:
+//! the dedup floor is the target's own rebuild ordinal
+//! ([`ColumnStore::rebuild_seq`]). The rules are written down as the
+//! *catch-up rule* in `docs/GLOBAL.md`.
 
 use crate::site::{Site, SiteError};
 use dh_catalog::durable::{config_from_record, plan_from_deltas, strip_policy};
 use dh_catalog::{CatalogError, ColumnConfig, ColumnStore, WriteBatch};
 use dh_wal::WalRecord;
-use std::collections::BTreeMap;
 
 /// What one [`catch_up`] call accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +36,11 @@ pub struct CatchUp {
 ///
 /// `from` should be the target's current epoch (`target.epoch()`);
 /// records at or before it are skipped idempotently, so a conservative
-/// (lower) value is safe, merely wasteful.
+/// (lower) value is safe, merely wasteful. A rebuild record is skipped
+/// when its barrier lies behind the target's epoch or its ordinal is at
+/// or below the target's [`ColumnStore::rebuild_seq`] — so a repeat
+/// call, which re-reads the rebuilds at the target's barrier, applies
+/// none of them twice.
 ///
 /// # Errors
 ///
@@ -52,14 +57,6 @@ pub fn catch_up(
     let tail = source.tail(from)?;
     let mut applied = 0u64;
     let mut clean = true;
-    // Legacy re-shard barriers already replayed this call, so a barrier
-    // that lands exactly at the current epoch replays once, not per
-    // re-read.
-    let mut resharded: BTreeMap<String, u64> = BTreeMap::new();
-    // Rebuild ordinals already replayed this call. Rebuilds dedup on
-    // the ordinal, not the barrier: rebuilds publish no epoch, so two
-    // distinct rebuilds can legitimately share a barrier.
-    let mut rebuilt: BTreeMap<String, u64> = BTreeMap::new();
     'replay: for record in tail.records {
         match record {
             WalRecord::Register { column, config } => {
@@ -87,21 +84,6 @@ pub fn catch_up(
                 target.commit(batch)?;
                 applied += 1;
             }
-            // Legacy: logs written before the elastic rebuild plane; at
-            // most one `Reshard` could land per barrier, so the barrier
-            // doubles as its identity.
-            WalRecord::Reshard { column, barrier } => {
-                let at = target.epoch();
-                if barrier < at || resharded.get(&column).is_some_and(|&b| barrier <= b) {
-                    continue; // already covered by the target's state
-                }
-                if barrier > at {
-                    clean = false;
-                    break 'replay;
-                }
-                target.reshard(&column)?;
-                resharded.insert(column, barrier);
-            }
             WalRecord::Rebuild {
                 column,
                 barrier,
@@ -109,24 +91,24 @@ pub fn catch_up(
                 shards,
                 spec,
                 memory_bytes,
-                channel,
             } => {
                 let at = target.epoch();
-                if barrier < at || rebuilt.get(&column).is_some_and(|&s| seq <= s) {
-                    // Covered by the target's state — or, at the barrier
-                    // itself, a re-read of an ordinal this call already
-                    // applied. A *distinct* second rebuild at the same
-                    // barrier carries a higher ordinal and must apply.
-                    continue;
-                }
                 if barrier > at {
                     clean = false;
                     break 'replay;
                 }
-                let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes, channel)
+                if barrier < at || seq <= target.rebuild_seq(&column)? {
+                    // Covered by the target's state — or, at the barrier
+                    // itself, a re-read of an ordinal the target already
+                    // applied (on this call or an earlier one). Rebuilds
+                    // publish no epoch, so a *distinct* second rebuild at
+                    // the same barrier carries a higher ordinal and must
+                    // apply.
+                    continue;
+                }
+                let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes)
                     .map_err(|e| SiteError::Remote(e.to_string()))?;
                 target.rebuild(&column, plan)?;
-                rebuilt.insert(column, seq);
             }
         }
     }
@@ -164,7 +146,7 @@ mod tests {
     use crate::site::LocalSite;
     use crate::RemoteSite;
     use dh_catalog::durable::{DurableOptions, DurableStore, StoreKind};
-    use dh_catalog::{AlgoSpec, Catalog};
+    use dh_catalog::{AlgoSpec, RebuildPlan, ShardPlan, ShardedCatalog};
     use dh_core::{MemoryBudget, ReadHistogram};
     use dh_wal::tmp::TempDir;
     use dh_wal::SyncPolicy;
@@ -177,7 +159,7 @@ mod tests {
             sync: SyncPolicy::Off,
             ..DurableOptions::default()
         };
-        let store = Arc::new(DurableStore::open(dir.path(), StoreKind::Single, options).unwrap());
+        let store = Arc::new(DurableStore::open(dir.path(), StoreKind::Sharded, options).unwrap());
         store
             .register(
                 "c",
@@ -194,22 +176,14 @@ mod tests {
         let server = SiteServer::spawn(Arc::clone(&store)).unwrap();
         let source = RemoteSite::new("src", server.addr());
 
-        let target = Catalog::new();
+        let target = ShardedCatalog::new();
         let report = catch_up(&target, &source, 0).unwrap();
         assert!(report.caught_up);
         assert_eq!(report.applied, 5);
         assert_eq!(report.epoch, 5);
-        let want = store.snapshot("c").unwrap();
-        let got = target.snapshot("c").unwrap();
         assert_eq!(
-            want.spans()
-                .iter()
-                .map(|s| (s.lo.to_bits(), s.hi.to_bits(), s.count.to_bits()))
-                .collect::<Vec<_>>(),
-            got.spans()
-                .iter()
-                .map(|s| (s.lo.to_bits(), s.hi.to_bits(), s.count.to_bits()))
-                .collect::<Vec<_>>(),
+            bits(&store.snapshot("c").unwrap()),
+            bits(&target.snapshot("c").unwrap())
         );
 
         // Idempotent: replaying from 0 again applies nothing new.
@@ -221,8 +195,6 @@ mod tests {
 
     #[test]
     fn same_barrier_rebuild_stack_catches_up_over_the_wire() {
-        use dh_catalog::{RebuildPlan, ShardPlan, ShardedCatalog};
-
         let dir = TempDir::new("catchup_same_barrier");
         let options = DurableOptions {
             sync: SyncPolicy::Off,
@@ -273,22 +245,46 @@ mod tests {
         );
         let want = store.snapshot("c").unwrap();
         let got = target.snapshot("c").unwrap();
-        assert_eq!(
-            want.spans()
-                .iter()
-                .map(|s| (s.lo.to_bits(), s.hi.to_bits(), s.count.to_bits()))
-                .collect::<Vec<_>>(),
-            got.spans()
-                .iter()
-                .map(|s| (s.lo.to_bits(), s.hi.to_bits(), s.count.to_bits()))
-                .collect::<Vec<_>>(),
-        );
+        assert_eq!(bits(&want), bits(&got));
+
+        // Rebuilds at the target's own epoch catch up once; a repeat
+        // call re-reads their records at that barrier and must skip them.
+        let mut swaps = target.reshard_count("c").unwrap();
+        for plan in [
+            RebuildPlan::new().with_shards(2),
+            RebuildPlan::new(),
+            RebuildPlan::new().with_shards(8),
+        ] {
+            if !store.rebuild("c", plan).unwrap() {
+                continue;
+            }
+            swaps += 1;
+            let want = store.snapshot("c").unwrap();
+            for call in 0..2 {
+                let again = catch_up(&target, &source, target.epoch()).unwrap();
+                assert!(again.caught_up);
+                assert_eq!(again.applied, 0);
+                assert_eq!(
+                    target.reshard_count("c").unwrap(),
+                    swaps,
+                    "call {call} after {plan:?} re-applied a rebuild"
+                );
+                assert_eq!(bits(&want), bits(&target.snapshot("c").unwrap()));
+            }
+        }
+    }
+
+    fn bits(snap: &dh_catalog::Snapshot) -> Vec<(u64, u64, u64)> {
+        snap.spans()
+            .iter()
+            .map(|s| (s.lo.to_bits(), s.hi.to_bits(), s.count.to_bits()))
+            .collect()
     }
 
     #[test]
     fn tailing_a_local_bare_catalog_is_unsupported() {
-        let source = LocalSite::new("a", Box::new(Catalog::new()));
-        let target = Catalog::new();
+        let source = LocalSite::new("a", Box::new(ShardedCatalog::new()));
+        let target = ShardedCatalog::new();
         assert!(matches!(
             catch_up(&target, &source, 0),
             Err(SiteError::Unsupported(_))

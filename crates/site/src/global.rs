@@ -386,11 +386,11 @@ impl ColumnStore for GlobalCatalog {
 mod tests {
     use super::*;
     use crate::site::LocalSite;
-    use dh_catalog::Catalog;
+    use dh_catalog::ShardedCatalog;
     use dh_core::{MemoryBudget, ReadHistogram};
 
     fn site(name: &str, values: impl Iterator<Item = i64>) -> Arc<dyn Site> {
-        let store = Catalog::new();
+        let store = ShardedCatalog::new();
         store
             .register(
                 "c",

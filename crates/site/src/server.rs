@@ -231,7 +231,7 @@ mod tests {
             sync: SyncPolicy::Off,
             ..DurableOptions::default()
         };
-        Arc::new(DurableStore::open(dir.path(), StoreKind::Single, options).unwrap())
+        Arc::new(DurableStore::open(dir.path(), StoreKind::Sharded, options).unwrap())
     }
 
     #[test]

@@ -260,11 +260,11 @@ impl Site for LocalSite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dh_catalog::{AlgoSpec, Catalog};
+    use dh_catalog::{AlgoSpec, ShardedCatalog};
     use dh_core::MemoryBudget;
 
     fn local() -> LocalSite {
-        let store = Catalog::new();
+        let store = ShardedCatalog::new();
         store
             .register(
                 "c",

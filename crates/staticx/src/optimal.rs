@@ -63,7 +63,7 @@ impl SsePrefix {
 /// once `cost(i, j)` alone reaches the best split found, no smaller `i`
 /// can win and the scan stops. On the paper's skewed distributions the
 /// scan collapses from O(D) to a short constant, which is what makes the
-/// exact DP usable inside test suites and the `Catalog` rebuild path.
+/// exact DP usable inside test suites and the store's rebuild-on-read path.
 fn optimal_partition_sse(freqs: &[f64], n: usize) -> Vec<usize> {
     let d = freqs.len();
     debug_assert!(d > 0);

@@ -7,7 +7,7 @@
 //! atomically-visible state transition. This crate persists exactly that
 //! sequence:
 //!
-//! * [`record`] — [`WalRecord`]: one register / commit / re-shard event,
+//! * [`record`] — [`WalRecord`]: one register / commit / rebuild event,
 //!   serialized in a hand-rolled, checksummed, length-prefixed binary
 //!   format (the workspace vendors no serde; the format is ~100 lines of
 //!   explicit little-endian codec instead, documented in

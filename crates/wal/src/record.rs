@@ -46,27 +46,17 @@ pub enum WalRecord {
         /// iteration order).
         columns: Vec<(String, Vec<UpdateOp>)>,
     },
-    /// A completed re-shard that moved a column's borders. Replayed by
-    /// re-running the (deterministic) border rebuild at the same point
-    /// in the epoch sequence. **Legacy**: decoded from pre-elastic logs
-    /// only — a current leader logs every shape change, border
-    /// rebalances included, as a [`WalRecord::Rebuild`], whose `seq`
-    /// makes same-barrier changes distinguishable on replay.
-    Reshard {
-        /// The re-sharded column.
-        column: String,
-        /// The epoch barrier the rebuild drained to — always the epoch
-        /// of the immediately preceding commit record.
-        barrier: u64,
-    },
     /// A completed *rebuild* that changed a column's borders or shape —
-    /// shard count, algorithm, memory budget, or ingestion mode —
-    /// behind the same epoch barrier a re-shard uses. The shape-carrying
-    /// successor of the legacy [`WalRecord::Reshard`]: a rebuild's
-    /// target is not derivable at replay time, so the record carries
-    /// the plan deltas. `None` fields keep the column's value current
-    /// at the barrier, exactly as the live call resolved them (a pure
-    /// border rebalance carries all-`None` deltas).
+    /// shard count, algorithm, or memory budget — behind the epoch
+    /// barrier. A rebuild's target is not derivable at replay time, so
+    /// the record carries the plan deltas. `None` fields keep the
+    /// column's value current at the barrier, exactly as the live call
+    /// resolved them (a pure border rebalance carries all-`None`
+    /// deltas).
+    ///
+    /// Retired formats: record kind 3 (the bare pre-rebuild `Reshard`)
+    /// no longer decodes, and flag bit 8 (an ingestion-mode delta) is
+    /// never written and ignored when read.
     Rebuild {
         /// The rebuilt column.
         column: String,
@@ -88,9 +78,6 @@ pub enum WalRecord {
         spec: Option<String>,
         /// Target memory budget in bytes (`None` keeps the live one).
         memory_bytes: Option<u64>,
-        /// Target ingestion mode (`None` keeps the live one; `true`
-        /// means channel workers, `false` locked).
-        channel: Option<bool>,
     },
 }
 
@@ -127,7 +114,8 @@ pub struct ConfigRecord {
     pub rebuild_seq: u64,
 }
 
-/// A flattened `ShardPlan`.
+/// A flattened `ShardPlan`. On disk it is followed by a retired
+/// ingestion-mode byte, written as 0 and ignored when read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanRecord {
     /// Inclusive domain lower bound.
@@ -136,8 +124,6 @@ pub struct PlanRecord {
     pub hi: i64,
     /// Shard count.
     pub shards: u64,
-    /// Whether ingestion is channel (MPSC worker) mode.
-    pub channel: bool,
 }
 
 /// A flattened `ReshardPolicy`. The skew threshold travels as raw bits,
@@ -175,7 +161,8 @@ pub struct AutoscaleRecord {
 /// A column's live shape — the part of its config a rebuild can change.
 /// Carried by checkpoints (inside [`ConfigRecord::rebuilt`]) so a
 /// restore reproduces the shape even when the rebuild records that
-/// produced it are pruned.
+/// produced it are pruned. Like [`PlanRecord`], it is followed on disk
+/// by a retired ingestion-mode byte, written as 0 and ignored when read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeRecord {
     /// Live shard count.
@@ -184,14 +171,18 @@ pub struct ShapeRecord {
     pub spec: String,
     /// Live memory budget in bytes.
     pub memory_bytes: u64,
-    /// Live ingestion mode (`true` = channel workers).
-    pub channel: bool,
 }
 
 const KIND_REGISTER: u8 = 1;
 const KIND_COMMIT: u8 = 2;
+/// Retired: the bare border-move record of logs written before rebuild
+/// ordinals existed. Nothing writes it, and decoding it is an error.
 const KIND_RESHARD: u8 = 3;
 const KIND_REBUILD: u8 = 4;
+
+/// The retired ingestion-mode delta of a rebuild record: ignored when
+/// read, never written.
+const REBUILD_FLAG_CHANNEL: u8 = 8;
 
 const OP_INSERT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -228,11 +219,6 @@ impl WalRecord {
                     }
                 }
             }
-            WalRecord::Reshard { column, barrier } => {
-                payload.u8(KIND_RESHARD);
-                payload.str_(column);
-                payload.u64(*barrier);
-            }
             WalRecord::Rebuild {
                 column,
                 barrier,
@@ -240,7 +226,6 @@ impl WalRecord {
                 shards,
                 spec,
                 memory_bytes,
-                channel,
             } => {
                 payload.u8(KIND_REBUILD);
                 payload.str_(column);
@@ -248,8 +233,7 @@ impl WalRecord {
                 payload.u64(*seq);
                 let flags = u8::from(shards.is_some())
                     | (u8::from(spec.is_some()) << 1)
-                    | (u8::from(memory_bytes.is_some()) << 2)
-                    | (u8::from(channel.is_some()) << 3);
+                    | (u8::from(memory_bytes.is_some()) << 2);
                 payload.u8(flags);
                 if let Some(shards) = shards {
                     payload.u64(*shards);
@@ -259,9 +243,6 @@ impl WalRecord {
                 }
                 if let Some(bytes) = memory_bytes {
                     payload.u64(*bytes);
-                }
-                if let Some(channel) = channel {
-                    payload.u8(u8::from(*channel));
                 }
             }
         }
@@ -301,10 +282,12 @@ impl WalRecord {
                 }
                 WalRecord::Commit { epoch, columns }
             }
-            KIND_RESHARD => WalRecord::Reshard {
-                column: r.str_()?,
-                barrier: r.u64()?,
-            },
+            KIND_RESHARD => {
+                return Err(format!(
+                    "retired record kind {KIND_RESHARD} (a pre-rebuild re-shard record); \
+                     this log predates rebuild ordinals and cannot be replayed"
+                ))
+            }
             KIND_REBUILD => {
                 let column = r.str_()?;
                 let barrier = r.u64()?;
@@ -320,11 +303,9 @@ impl WalRecord {
                     None
                 };
                 let memory_bytes = if flags & 4 != 0 { Some(r.u64()?) } else { None };
-                let channel = if flags & 8 != 0 {
-                    Some(r.u8()? != 0)
-                } else {
-                    None
-                };
+                if flags & REBUILD_FLAG_CHANNEL != 0 {
+                    r.u8()?; // retired ingestion-mode delta
+                }
                 WalRecord::Rebuild {
                     column,
                     barrier,
@@ -332,7 +313,6 @@ impl WalRecord {
                     shards,
                     spec,
                     memory_bytes,
-                    channel,
                 }
             }
             other => return Err(format!("unknown record kind {other}")),
@@ -357,7 +337,7 @@ impl ConfigRecord {
             w.i64(plan.lo);
             w.i64(plan.hi);
             w.u64(plan.shards);
-            w.u8(u8::from(plan.channel));
+            w.u8(0); // retired ingestion-mode byte
         }
         if let Some(policy) = &self.reshard {
             w.u64(policy.skew_bits);
@@ -377,7 +357,7 @@ impl ConfigRecord {
             w.u64(shape.shards);
             w.str_(&shape.spec);
             w.u64(shape.memory_bytes);
-            w.u8(u8::from(shape.channel));
+            w.u8(0); // retired ingestion-mode byte
         }
         if self.rebuild_seq != 0 {
             w.u64(self.rebuild_seq);
@@ -393,12 +373,13 @@ impl ConfigRecord {
             return Err(format!("unknown config flags {flags:#04x}"));
         }
         let plan = if flags & 1 != 0 {
-            Some(PlanRecord {
+            let plan = PlanRecord {
                 lo: r.i64()?,
                 hi: r.i64()?,
                 shards: r.u64()?,
-                channel: r.u8()? != 0,
-            })
+            };
+            r.u8()?; // retired ingestion-mode byte
+            Some(plan)
         } else {
             None
         };
@@ -425,12 +406,13 @@ impl ConfigRecord {
             None
         };
         let rebuilt = if flags & 8 != 0 {
-            Some(ShapeRecord {
+            let shape = ShapeRecord {
                 shards: r.u64()?,
                 spec: r.str_()?,
                 memory_bytes: r.u64()?,
-                channel: r.u8()? != 0,
-            })
+            };
+            r.u8()?; // retired ingestion-mode byte
+            Some(shape)
         } else {
             None
         };
@@ -732,7 +714,6 @@ mod tests {
                         lo: -5,
                         hi: 4999,
                         shards: 8,
-                        channel: true,
                     }),
                     reshard: Some(ReshardPolicyRecord {
                         skew_bits: 1.25f64.to_bits(),
@@ -752,7 +733,6 @@ mod tests {
                         shards: 16,
                         spec: "DADO".into(),
                         memory_bytes: 2048,
-                        channel: false,
                     }),
                     rebuild_seq: 3,
                 },
@@ -780,10 +760,6 @@ mod tests {
                     ("t".into(), vec![]),
                 ],
             },
-            WalRecord::Reshard {
-                column: "orders.amount".into(),
-                barrier: 42,
-            },
             WalRecord::Rebuild {
                 column: "orders.amount".into(),
                 barrier: 43,
@@ -791,7 +767,6 @@ mod tests {
                 shards: Some(16),
                 spec: Some("DADO".into()),
                 memory_bytes: None,
-                channel: Some(true),
             },
             // A delta-less rebuild: a pure border rebalance.
             WalRecord::Rebuild {
@@ -801,7 +776,6 @@ mod tests {
                 shards: None,
                 spec: None,
                 memory_bytes: None,
-                channel: None,
             },
         ]
     }
@@ -879,7 +853,7 @@ mod tests {
         w.i64(0); // plan.lo
         w.i64(999); // plan.hi
         w.u64(4); // plan.shards
-        w.u8(0); // plan.channel
+        w.u8(1); // retired plan.channel byte: ignored
         w.u64(2.0f64.to_bits()); // reshard.skew_bits
         w.u64(16); // reshard.min_interval_epochs
         w.u64(4096); // reshard.min_load
@@ -897,7 +871,6 @@ mod tests {
                         lo: 0,
                         hi: 999,
                         shards: 4,
-                        channel: false,
                     }),
                     reshard: Some(ReshardPolicyRecord {
                         skew_bits: 2.0f64.to_bits(),
@@ -911,19 +884,69 @@ mod tests {
             }
         );
 
-        // An old-format bare Reshard frame decodes unchanged.
+        // A rebuild that carries the retired ingestion-mode delta
+        // (flag bit 8) decodes with the delta dropped.
+        let mut w = Writer::new();
+        w.u8(KIND_REBUILD);
+        w.str_("c");
+        w.u64(7); // barrier
+        w.u64(2); // seq
+        w.u8(0b1001); // shards + retired channel delta
+        w.u64(8); // shards
+        w.u8(1); // channel
+        let decoded = WalRecord::decode_payload(&w.into_bytes()).unwrap();
+        assert_eq!(
+            decoded,
+            WalRecord::Rebuild {
+                column: "c".into(),
+                barrier: 7,
+                seq: 2,
+                shards: Some(8),
+                spec: None,
+                memory_bytes: None,
+            }
+        );
+
+        // A checkpoint shape whose retired channel byte is set decodes
+        // like one written today.
+        let shaped = ConfigRecord {
+            spec: "DC".into(),
+            memory_bytes: 512,
+            seed: 3,
+            plan: None,
+            reshard: None,
+            autoscale: None,
+            rebuilt: Some(ShapeRecord {
+                shards: 2,
+                spec: "DADO".into(),
+                memory_bytes: 256,
+            }),
+            rebuild_seq: 0,
+        };
+        let mut w = Writer::new();
+        shaped.encode(&mut w);
+        let mut bytes = w.into_bytes();
+        let last = bytes.len() - 1;
+        assert_eq!(bytes[last], 0, "the shape's retired byte is written as 0");
+        bytes[last] = 1;
+        assert_eq!(
+            ConfigRecord::decode(&mut Reader::new(&bytes)).unwrap(),
+            shaped
+        );
+    }
+
+    #[test]
+    fn retired_reshard_records_are_a_decode_error() {
         let mut w = Writer::new();
         w.u8(KIND_RESHARD);
         w.str_("c");
         w.u64(7);
-        let decoded = WalRecord::decode_payload(&w.into_bytes()).unwrap();
-        assert_eq!(
-            decoded,
-            WalRecord::Reshard {
-                column: "c".into(),
-                barrier: 7,
-            }
-        );
+        let payload = w.into_bytes();
+        let why = WalRecord::decode_payload(&payload).unwrap_err();
+        assert!(why.contains("retired record kind 3"), "{why}");
+        let mut frame = Vec::new();
+        write_framed(&mut frame, &payload).unwrap();
+        assert!(matches!(read_frame(&frame, 0), Frame::Invalid { .. }));
     }
 
     #[test]

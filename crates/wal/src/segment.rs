@@ -758,7 +758,6 @@ mod tests {
                         shards: 8,
                         spec: "DADO".into(),
                         memory_bytes: 1024,
-                        channel: false,
                     }),
                     rebuild_seq: 2,
                 },

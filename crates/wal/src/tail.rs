@@ -88,7 +88,7 @@ pub struct TailReader {
     resume: Option<u64>,
     /// The highest epoch proven *behind* the cursor: the caller's
     /// replayed epoch at the last seek, raised by every commit epoch
-    /// and re-shard barrier decoded since. Gates segment advancement —
+    /// and rebuild barrier decoded since. Gates segment advancement —
     /// the continuity proof that the current segment is really
     /// exhausted, not just truncated at a frame boundary.
     seen: u64,
@@ -134,7 +134,7 @@ impl TailReader {
 
     /// A lower bound on the leader's published epoch, learned from
     /// everything this reader has seen on disk: commit epochs and
-    /// re-shard barriers decoded so far, segment names (a segment
+    /// rebuild barriers decoded so far, segment names (a segment
     /// starting at `S` proves epoch `S - 1` was published), and
     /// checkpoint names. Monotone; `0` before the first poll.
     pub fn epoch_hint(&self) -> u64 {
@@ -196,7 +196,6 @@ impl TailReader {
             for record in &records[before..] {
                 match record {
                     WalRecord::Commit { epoch, .. } => self.seen = self.seen.max(*epoch),
-                    WalRecord::Reshard { barrier, .. } => self.seen = self.seen.max(*barrier),
                     WalRecord::Rebuild { barrier, .. } => self.seen = self.seen.max(*barrier),
                     WalRecord::Register { .. } => {}
                 }
@@ -226,7 +225,6 @@ impl TailReader {
         for record in &records {
             match record {
                 WalRecord::Commit { epoch, .. } => self.hint = self.hint.max(*epoch),
-                WalRecord::Reshard { barrier, .. } => self.hint = self.hint.max(*barrier),
                 WalRecord::Rebuild { barrier, .. } => self.hint = self.hint.max(*barrier),
                 WalRecord::Register { .. } => {}
             }

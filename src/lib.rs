@@ -22,11 +22,12 @@
 //!   selections and equi-join chains (the paper's motivating use case),
 //!   over plain `&dyn ReadHistogram` so chains may mix algorithms.
 //! * [`catalog`] — the `AlgoSpec` algorithm registry and the serving
-//!   layer: one object-safe `ColumnStore` trait implemented by the
-//!   single-lock `Catalog` and the `ShardedCatalog`, with transactional
-//!   epoch-stamped `WriteBatch` commits and consistent multi-column
-//!   `SnapshotSet` reads — plus `DurableStore`, which makes any of them
-//!   crash-durable and time-travelable.
+//!   layer: one object-safe `ColumnStore` trait over one store, the
+//!   `ShardedCatalog` (a column without a shard plan is one shard over
+//!   the whole `i64` domain), with transactional epoch-stamped
+//!   `WriteBatch` commits and consistent multi-column `SnapshotSet`
+//!   reads — plus `DurableStore`, which makes it crash-durable and
+//!   time-travelable.
 //! * [`wal`] — the epoch-changelog write-ahead log, checkpoint files and
 //!   crash-recovery primitives `DurableStore` persists through (see
 //!   `docs/DURABILITY.md`).
@@ -71,10 +72,9 @@ pub use dh_wal as wal;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use dh_catalog::{
-        AlgoSpec, AutoscalePolicy, Catalog, CatalogError, ColumnConfig, ColumnShape, ColumnStore,
-        DurableError, DurableOptions, DurableStore, IngestMode, ReadStats, RebuildPlan,
-        ReshardPolicy, ShardMap, ShardPlan, ShardedCatalog, Snapshot, SnapshotSet, StoreKind,
-        WriteBatch,
+        AlgoSpec, AutoscalePolicy, CatalogError, ColumnConfig, ColumnShape, ColumnStore,
+        DurableError, DurableOptions, DurableStore, ReadStats, RebuildPlan, ReshardPolicy,
+        ShardMap, ShardPlan, ShardedCatalog, Snapshot, SnapshotSet, StoreKind, WriteBatch,
     };
     pub use dh_core::dynamic::{
         AbsoluteDeviation, DadoHistogram, DcHistogram, DvoHistogram, Grid2dHistogram,

@@ -194,9 +194,9 @@ fn batching_is_invisible_to_the_histogram() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `GlobalStrategy` mirrors the `AlgoSpec` legend contract: the CLI
-    /// (`repro serve --sites --strategy`) parses what `Display` renders,
-    /// case-insensitively and with arbitrary interior whitespace, for
+    /// `GlobalStrategy` mirrors the `AlgoSpec` legend contract: parsing
+    /// accepts what `Display` renders, case-insensitively and with
+    /// arbitrary interior whitespace, for
     /// both of the paper's Section 8 strategies plus the short codes.
     #[test]
     fn global_strategy_display_fromstr_roundtrip(

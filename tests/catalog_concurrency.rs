@@ -28,7 +28,7 @@ fn batch(b: i64, column_salt: i64) -> Vec<UpdateOp> {
 
 #[test]
 fn writer_and_readers_share_the_catalog() {
-    let catalog = Catalog::new();
+    let catalog = ShardedCatalog::new();
     let memory = MemoryBudget::from_kb(1.0);
     catalog
         .register("dc", ColumnConfig::new(AlgoSpec::Dc, memory).with_seed(11))
@@ -95,7 +95,7 @@ fn writer_and_readers_share_the_catalog() {
 
 #[test]
 fn columns_do_not_interfere() {
-    let catalog = Catalog::new();
+    let catalog = ShardedCatalog::new();
     let memory = MemoryBudget::from_kb(0.5);
     catalog
         .register("a", ColumnConfig::new(AlgoSpec::Dc, memory).with_seed(1))

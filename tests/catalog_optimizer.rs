@@ -1,6 +1,6 @@
 //! Estimation straight off a serving store: mixed-algorithm equi-joins
 //! and chains over epoch-pinned snapshots, written once against
-//! `&dyn ColumnStore` and exercised over both store designs.
+//! `&dyn ColumnStore` and exercised over plan-less and sharded columns.
 //!
 //! The build side and the probe side deliberately use *different*
 //! algorithms (a maintained DC histogram against a rebuilt V-Optimal
@@ -27,17 +27,25 @@ fn relation(seed: u64) -> (Vec<UpdateOp>, DataDistribution) {
     (stream.ops(), truth)
 }
 
-/// The store designs under test; the sharded one gets an 6-shard
-/// channel-mode plan, the plain one ignores it — same config either way.
-fn stores() -> Vec<(&'static str, Box<dyn ColumnStore>)> {
+/// The column shapes under test: plan-less (one shard over all of
+/// `i64`) and a 6-shard plan — the same config otherwise.
+fn stores() -> Vec<(Option<ShardPlan>, Box<dyn ColumnStore>)> {
     vec![
-        ("catalog", Box::new(Catalog::new()) as Box<dyn ColumnStore>),
-        ("sharded", Box::new(ShardedCatalog::new())),
+        (
+            None,
+            Box::new(ShardedCatalog::new()) as Box<dyn ColumnStore>,
+        ),
+        (Some(plan()), Box::new(ShardedCatalog::new())),
     ]
 }
 
 fn plan() -> ShardPlan {
-    ShardPlan::new(0, 5000, 6).unwrap().channel()
+    ShardPlan::new(0, 5000, 6).unwrap()
+}
+
+/// `config` with the column shape under test.
+fn planned(plan: Option<ShardPlan>, config: ColumnConfig) -> ColumnConfig {
+    ColumnConfig { plan, ..config }
 }
 
 #[test]
@@ -52,17 +60,16 @@ fn mixed_algo_join_through_store_snapshots() {
         store
             .register(
                 "r.key",
-                ColumnConfig::new(AlgoSpec::Dc, memory)
-                    .with_seed(2)
-                    .with_plan(plan()),
+                planned(kind, ColumnConfig::new(AlgoSpec::Dc, memory).with_seed(2)),
             )
             .unwrap();
         store
             .register(
                 "s.key",
-                ColumnConfig::new(AlgoSpec::VOptimal, memory)
-                    .with_seed(3)
-                    .with_plan(plan()),
+                planned(
+                    kind,
+                    ColumnConfig::new(AlgoSpec::VOptimal, memory).with_seed(3),
+                ),
             )
             .unwrap();
         store.apply("r.key", &r_ops).unwrap();
@@ -73,7 +80,7 @@ fn mixed_algo_join_through_store_snapshots() {
         let ratio = est / exact;
         assert!(
             (0.5..2.0).contains(&ratio),
-            "{kind}: mixed DC ⋈ SVO estimate off: est {est}, exact {exact}"
+            "{kind:?}: mixed DC ⋈ SVO estimate off: est {est}, exact {exact}"
         );
 
         // The set the entry point reads is the same view a manual
@@ -84,7 +91,7 @@ fn mixed_algo_join_through_store_snapshots() {
         assert_eq!(set.get("r.key").unwrap().epoch(), set.epoch());
         assert_eq!(set.get("s.key").unwrap().epoch(), set.epoch());
         let manual = estimate_equi_join(set.get("r.key").unwrap(), set.get("s.key").unwrap());
-        assert!((manual - est).abs() < 1e-9 * est.max(1.0), "{kind}");
+        assert!((manual - est).abs() < 1e-9 * est.max(1.0), "{kind:?}");
     }
 }
 
@@ -103,9 +110,10 @@ fn mixed_algo_chain_propagates_through_store() {
             store
                 .register(
                     col,
-                    ColumnConfig::new(*spec, memory)
-                        .with_seed(10 + i as u64)
-                        .with_plan(plan()),
+                    planned(
+                        kind,
+                        ColumnConfig::new(*spec, memory).with_seed(10 + i as u64),
+                    ),
                 )
                 .unwrap();
             let (ops, truth) = relation(10 + i as u64);
@@ -116,7 +124,7 @@ fn mixed_algo_chain_propagates_through_store() {
         assert_eq!(report.estimated.len(), 2);
         assert!(
             report.final_error() < 1.0,
-            "{kind}: fresh mixed-algo chain should stay usable: {:?}",
+            "{kind:?}: fresh mixed-algo chain should stay usable: {:?}",
             report.relative_errors()
         );
     }
@@ -125,13 +133,13 @@ fn mixed_algo_chain_propagates_through_store() {
 #[test]
 fn sharded_snapshots_join_like_unsharded_ones() {
     // The optimizer must not be able to tell a sharded column from an
-    // unsharded one: join a ShardedCatalog snapshot against a Catalog
-    // snapshot, and cross-check against the all-unsharded estimate.
+    // unsharded one: join a sharded snapshot against a plan-less one,
+    // and cross-check against the all-unsharded estimate.
     let memory = MemoryBudget::from_kb(1.0);
     let (r_ops, r_truth) = relation(21);
     let (s_ops, s_truth) = relation(22);
 
-    let plain = Catalog::new();
+    let plain = ShardedCatalog::new();
     plain
         .register(
             "r.key",
@@ -186,9 +194,10 @@ fn selection_predicates_read_off_stores() {
         store
             .register(
                 "t.v",
-                ColumnConfig::new(AlgoSpec::Dado, MemoryBudget::from_kb(1.0))
-                    .with_seed(5)
-                    .with_plan(plan()),
+                planned(
+                    kind,
+                    ColumnConfig::new(AlgoSpec::Dado, MemoryBudget::from_kb(1.0)).with_seed(5),
+                ),
             )
             .unwrap();
         store.apply("t.v", &ops).unwrap();
@@ -202,7 +211,7 @@ fn selection_predicates_read_off_stores() {
             let abs_err = (est - exact).abs() / truth.total() as f64;
             assert!(
                 abs_err < 0.05,
-                "{kind}: {p:?}: est {est} vs exact {exact} (rel-to-total {abs_err})"
+                "{kind:?}: {p:?}: est {est} vs exact {exact} (rel-to-total {abs_err})"
             );
         }
     }

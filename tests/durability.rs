@@ -1,12 +1,17 @@
-//! Durability acceptance suite: a `DurableStore` over each of the three
-//! store designs (single-lock `Catalog`, sharded-locked,
-//! sharded-channel), fed hundreds of committed epochs with a mid-stream
-//! re-shard, must reopen from disk to **bit-identical** estimates —
+//! Durability acceptance suite: a `DurableStore` over a plan-less column
+//! (one shard, one lock) and a sharded one, fed hundreds of committed
+//! epochs with a mid-stream re-shard, must reopen from disk to
+//! **bit-identical** estimates —
 //! pure-log replay re-runs the exact live code paths, so every
 //! `estimate_range` / `estimate_eq` / `total_count` probe compares by
 //! `f64::to_bits`, not by tolerance. Time travel gets the same
 //! treatment: `snapshot_set_at` on a retained past epoch must serve the
 //! bits readers saw live at that epoch, before *and* after a recovery.
+//!
+//! Logs in retired formats are covered too: a log whose plans and
+//! rebuild records say "channel ingestion" replays bit-identically as
+//! the one design left, and a directory stamped with the retired
+//! single-lock store tag is refused with a typed error.
 //!
 //! Checkpoint-crossing recovery is covered separately with the
 //! contract `docs/DURABILITY.md` actually makes for it: exact epoch,
@@ -18,6 +23,9 @@
 
 use dynamic_histograms::catalog::CatalogError;
 use dynamic_histograms::prelude::*;
+use dynamic_histograms::wal::record::read_frame;
+use dynamic_histograms::wal::{write_framed, Frame, WalRecord};
+use std::path::{Path, PathBuf};
 
 const COL: &str = "serve";
 const DOMAIN: (i64, i64) = (0, 9_999);
@@ -26,28 +34,86 @@ const OPS_PER_EPOCH: u64 = 32;
 
 #[derive(Clone, Copy)]
 enum Design {
-    Single,
-    ShardedLock,
-    ShardedChannel,
+    /// A column registered without a plan: one shard behind one lock.
+    PlanLess,
+    /// An 8-shard column.
+    Sharded,
+    /// The sharded column, reopened from a log rewritten the way channel
+    /// ingestion used to log it (see [`mark_logged_channel`]).
+    LegacyChannel,
 }
 
 impl Design {
-    fn kind(self) -> StoreKind {
-        match self {
-            Design::Single => StoreKind::Single,
-            _ => StoreKind::Sharded,
-        }
-    }
-
     fn config(self) -> ColumnConfig {
         let base = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0)).with_seed(7);
         let plan = ShardPlan::new(DOMAIN.0, DOMAIN.1, 8).unwrap();
         match self {
-            Design::Single => base,
-            Design::ShardedLock => base.with_plan(plan),
-            Design::ShardedChannel => base.with_plan(plan.channel()),
+            Design::PlanLess => base,
+            Design::Sharded | Design::LegacyChannel => base.with_plan(plan),
         }
     }
+
+    /// Turns the log the live run wrote into the one this design reopens.
+    fn before_reopen(self, dir: &Path) {
+        if let Design::LegacyChannel = self {
+            mark_logged_channel(dir);
+        }
+    }
+}
+
+/// The changelog segment files in `dir`.
+fn segments(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("seg"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no segments in {}", dir.display());
+    paths
+}
+
+/// Bytes before a segment's first record: the 8-byte magic, then the
+/// store-kind tag.
+const SEGMENT_HEADER: usize = 9;
+
+/// Rewrites `dir`'s changelog the way a store with channel ingestion
+/// wrote it: every register record's plan carries the retired
+/// ingestion-mode byte set to 1, and every rebuild record carries the
+/// retired channel delta (flag bit 8, value 1).
+fn mark_logged_channel(dir: &Path) {
+    let mut marked = 0;
+    for path in segments(dir) {
+        let bytes = std::fs::read(&path).unwrap();
+        let mut out = bytes[..SEGMENT_HEADER].to_vec();
+        let mut at = SEGMENT_HEADER;
+        while let Frame::Record { record, next } = read_frame(&bytes, at) {
+            let mut payload = bytes[at + 8..next].to_vec();
+            match record {
+                WalRecord::Register { column, config } if config.plan.is_some() => {
+                    // kind, column, spec, memory, seed, flags, then the
+                    // plan's lo, hi and shards ahead of the mode byte.
+                    let byte = 1 + 4 + column.len() + 4 + config.spec.len() + 17 + 24;
+                    assert_eq!(payload[byte], 0, "plans are logged with mode byte 0");
+                    payload[byte] = 1;
+                    marked += 1;
+                }
+                WalRecord::Rebuild { column, .. } => {
+                    // kind, column, barrier and seq precede the flags;
+                    // the channel delta is the last field.
+                    payload[1 + 4 + column.len() + 16] |= 8;
+                    payload.push(1);
+                    marked += 1;
+                }
+                _ => {}
+            }
+            write_framed(&mut out, &payload).unwrap();
+            at = next;
+        }
+        assert_eq!(at, bytes.len(), "{} ends on a whole record", path.display());
+        std::fs::write(&path, out).unwrap();
+    }
+    assert!(marked > 0, "nothing in the log to mark");
 }
 
 fn lcg(state: &mut u64) -> u64 {
@@ -126,7 +192,7 @@ fn recovery_is_bit_identical(design: Design, label: &str) {
     };
 
     let (live_bits, live_ring, moved) = {
-        let store = DurableStore::open(dir.path(), design.kind(), opts).unwrap();
+        let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
         store.register(COL, design.config()).unwrap();
         let mut moved = false;
         for e in 0..EPOCHS {
@@ -153,11 +219,12 @@ fn recovery_is_bit_identical(design: Design, label: &str) {
     }; // drop: final sync
 
     // Sharded designs must actually have exercised the re-shard replay.
-    if !matches!(design, Design::Single) {
+    if !matches!(design, Design::PlanLess) {
         assert!(moved, "{label}: skewed stream should move the borders");
     }
 
-    let store = DurableStore::open(dir.path(), design.kind(), opts).unwrap();
+    design.before_reopen(dir.path());
+    let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
     assert_eq!(store.epoch(), EPOCHS);
     assert_eq!(store.checkpoint(COL).unwrap(), EPOCHS);
     assert_eq!(store.spec(COL).unwrap(), AlgoSpec::Dc);
@@ -182,17 +249,18 @@ fn recovery_is_bit_identical(design: Design, label: &str) {
 
 #[test]
 fn single_lock_recovery_is_bit_identical() {
-    recovery_is_bit_identical(Design::Single, "dur-single");
+    recovery_is_bit_identical(Design::PlanLess, "dur-single");
 }
 
 #[test]
 fn sharded_locked_recovery_is_bit_identical() {
-    recovery_is_bit_identical(Design::ShardedLock, "dur-locked");
+    recovery_is_bit_identical(Design::Sharded, "dur-locked");
 }
 
+/// A log that says "channel" replays as the one design left.
 #[test]
 fn sharded_channel_recovery_is_bit_identical() {
-    recovery_is_bit_identical(Design::ShardedChannel, "dur-channel");
+    recovery_is_bit_identical(Design::LegacyChannel, "dur-channel");
 }
 
 #[test]
@@ -203,8 +271,8 @@ fn time_travel_pins_past_epochs_and_evicts_beyond_the_ring() {
         checkpoint_every: None,
         retain_generations: 4,
     };
-    let store = DurableStore::open(dir.path(), StoreKind::Single, opts).unwrap();
-    store.register(COL, Design::Single.config()).unwrap();
+    let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+    store.register(COL, Design::PlanLess.config()).unwrap();
     for e in 0..10u64 {
         store.apply(COL, &epoch_ops(e)).unwrap();
     }
@@ -245,8 +313,8 @@ fn time_travel_pins_past_epochs_and_evicts_beyond_the_ring() {
 
 #[test]
 fn plain_stores_only_pin_the_current_epoch() {
-    let cat = Catalog::new();
-    cat.register(COL, Design::Single.config()).unwrap();
+    let cat = ShardedCatalog::new();
+    cat.register(COL, Design::PlanLess.config()).unwrap();
     cat.apply(COL, &epoch_ops(0)).unwrap();
     assert_eq!(cat.snapshot_set_at(&[COL], 1).unwrap().epoch(), 1);
     assert_eq!(
@@ -268,7 +336,7 @@ fn checkpoint_cadence_truncates_and_recovers_exact_counts() {
     };
     {
         let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
-        store.register(COL, Design::ShardedLock.config()).unwrap();
+        store.register(COL, Design::Sharded.config()).unwrap();
         for e in 0..EPOCHS {
             let mut batch = WriteBatch::new();
             batch.extend(COL, epoch_ops(e));
@@ -300,7 +368,8 @@ fn checkpoint_cadence_truncates_and_recovers_exact_counts() {
 }
 
 /// Columns registered mid-stream recover with their own accepted
-/// counts, and a config mismatch on reopen is a typed error, not UB.
+/// counts, and a directory stamped with the retired single-lock store
+/// tag (1) is refused with a typed error, not replayed.
 #[test]
 fn mid_stream_registration_and_kind_mismatch() {
     let dir = TempDir::new("dur-register");
@@ -310,34 +379,77 @@ fn mid_stream_registration_and_kind_mismatch() {
         retain_generations: 2,
     };
     {
-        let store = DurableStore::open(dir.path(), StoreKind::Single, opts).unwrap();
-        store.register("early", Design::Single.config()).unwrap();
+        let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+        store.register("early", Design::PlanLess.config()).unwrap();
         for e in 0..5 {
             store.apply("early", &epoch_ops(e)).unwrap();
         }
-        store.register("late", Design::Single.config()).unwrap();
+        store.register("late", Design::PlanLess.config()).unwrap();
         let mut batch = WriteBatch::new();
         batch.extend("early", epoch_ops(5));
         batch.extend("late", epoch_ops(6));
         store.commit(batch).unwrap();
         assert_eq!(
             store
-                .register("early", Design::Single.config())
+                .register("early", Design::PlanLess.config())
                 .unwrap_err(),
             CatalogError::DuplicateColumn("early".into())
         );
     }
     {
-        let store = DurableStore::open(dir.path(), StoreKind::Single, opts).unwrap();
+        let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
         assert_eq!(store.columns(), ["early", "late"]);
         assert_eq!(store.epoch(), 6);
         assert_eq!(store.checkpoint("early").unwrap(), 6);
         assert_eq!(store.checkpoint("late").unwrap(), 1);
     }
-    // The directory is bound to its store kind.
+    // The directory is bound to its store kind: stamp the retired
+    // single-lock tag into the segment headers and the open is refused.
+    for path in segments(dir.path()) {
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[SEGMENT_HEADER - 1], StoreKind::Sharded.tag());
+        bytes[SEGMENT_HEADER - 1] = 1;
+        std::fs::write(&path, bytes).unwrap();
+    }
     match DurableStore::open(dir.path(), StoreKind::Sharded, opts) {
         Err(DurableError::Wal(WalError::StoreKindMismatch { .. })) => {}
         other => panic!("expected StoreKindMismatch, got {other:?}"),
+    }
+}
+
+/// A log carrying the retired bare re-shard record (kind 3) is refused
+/// with a typed corruption error naming the retired kind — never
+/// replayed, never a panic.
+#[test]
+fn retired_reshard_record_is_a_typed_error() {
+    let dir = TempDir::new("dur-retired-kind");
+    let opts = DurableOptions {
+        sync: SyncPolicy::PerCommit,
+        checkpoint_every: None,
+        retain_generations: 2,
+    };
+    {
+        let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+        store.register(COL, Design::Sharded.config()).unwrap();
+        for e in 0..3 {
+            store.apply(COL, &epoch_ops(e)).unwrap();
+        }
+    }
+    // Kind 3: column name, then the barrier epoch.
+    let mut payload = vec![3u8];
+    payload.extend_from_slice(&(COL.len() as u32).to_le_bytes());
+    payload.extend_from_slice(COL.as_bytes());
+    payload.extend_from_slice(&3u64.to_le_bytes());
+    let last = segments(dir.path()).pop().unwrap();
+    let mut bytes = std::fs::read(&last).unwrap();
+    write_framed(&mut bytes, &payload).unwrap();
+    std::fs::write(&last, bytes).unwrap();
+
+    match DurableStore::open(dir.path(), StoreKind::Sharded, opts) {
+        Err(DurableError::Wal(WalError::Corrupt { why, .. })) => {
+            assert!(why.contains("retired record kind 3"), "{why}");
+        }
+        other => panic!("expected a typed corruption error, got {other:?}"),
     }
 }
 
@@ -354,7 +466,7 @@ fn damaged_newest_checkpoint_recovers_via_fallback() {
     };
     {
         let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
-        store.register(COL, Design::ShardedLock.config()).unwrap();
+        store.register(COL, Design::Sharded.config()).unwrap();
         for e in 0..EPOCHS {
             let mut batch = WriteBatch::new();
             batch.extend(COL, epoch_ops(e));
@@ -393,7 +505,7 @@ fn rebuild_recovery_is_bit_identical(design: Design, label: &str) {
     };
 
     let (live_bits, live_shape) = {
-        let store = DurableStore::open(dir.path(), design.kind(), opts).unwrap();
+        let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
         store.register(COL, design.config()).unwrap();
         for e in 0..EPOCHS {
             let mut batch = WriteBatch::new();
@@ -418,7 +530,8 @@ fn rebuild_recovery_is_bit_identical(design: Design, label: &str) {
         (probe_bits(&store), shape)
     }; // drop: final sync
 
-    let store = DurableStore::open(dir.path(), design.kind(), opts).unwrap();
+    design.before_reopen(dir.path());
+    let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
     assert_eq!(store.epoch(), EPOCHS);
     assert_eq!(
         probe_bits(&store),
@@ -433,12 +546,14 @@ fn rebuild_recovery_is_bit_identical(design: Design, label: &str) {
 
 #[test]
 fn sharded_locked_rebuild_recovery_is_bit_identical() {
-    rebuild_recovery_is_bit_identical(Design::ShardedLock, "dur-rebuild-locked");
+    rebuild_recovery_is_bit_identical(Design::Sharded, "dur-rebuild-locked");
 }
 
+/// Rebuild records carrying the retired channel delta replay exactly
+/// like the ones logged today.
 #[test]
 fn sharded_channel_rebuild_recovery_is_bit_identical() {
-    rebuild_recovery_is_bit_identical(Design::ShardedChannel, "dur-rebuild-channel");
+    rebuild_recovery_is_bit_identical(Design::LegacyChannel, "dur-rebuild-channel");
 }
 
 /// A shape change must also survive **checkpoint**-based recovery:
@@ -456,7 +571,7 @@ fn rebuilt_shape_survives_checkpoint_pruning() {
     };
     {
         let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
-        store.register(COL, Design::ShardedLock.config()).unwrap();
+        store.register(COL, Design::Sharded.config()).unwrap();
         for e in 0..EPOCHS {
             let mut batch = WriteBatch::new();
             batch.extend(COL, epoch_ops(e));
@@ -511,7 +626,7 @@ fn same_barrier_rebuild_stack_recovers_bit_identically() {
     };
     let (live_bits, live_shape) = {
         let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
-        store.register(COL, Design::ShardedLock.config()).unwrap();
+        store.register(COL, Design::Sharded.config()).unwrap();
         for e in 0..EPOCHS / 2 {
             let mut batch = WriteBatch::new();
             batch.extend(COL, epoch_ops(e));
@@ -658,8 +773,8 @@ fn recovered_updates_counter_is_historical() {
         retain_generations: 2,
     };
     {
-        let store = DurableStore::open(dir.path(), StoreKind::Single, opts).unwrap();
-        store.register(COL, Design::Single.config()).unwrap();
+        let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+        store.register(COL, Design::PlanLess.config()).unwrap();
         // 60 inserts then 20 deletes: 80 historical ops, net mass 40.
         for e in 0..3 {
             let ops: Vec<UpdateOp> = (0..20).map(|i| UpdateOp::Insert(e * 100 + i)).collect();
@@ -669,7 +784,7 @@ fn recovered_updates_counter_is_historical() {
         store.apply(COL, &deletes).unwrap();
         store.checkpoint_now().unwrap();
     }
-    let store = DurableStore::open(dir.path(), StoreKind::Single, opts).unwrap();
+    let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
     let snap = store.snapshot(COL).unwrap();
     assert_eq!(snap.epoch(), 4);
     assert_eq!(snap.checkpoint(), 4);

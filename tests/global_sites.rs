@@ -2,7 +2,8 @@
 //! deployment): a 3-site composition — one in-process member, two
 //! socket-remote members behind `SiteServer`s — serving
 //! epoch-consistent estimates through the read-only `ColumnStore`
-//! surface, across all three store designs backing the local member.
+//! surface, with a plan-less and a sharded column backing the local
+//! member.
 //!
 //! The fault scenario is the subsystem's reason to exist: kill one
 //! remote mid-workload and the next read *degrades* (remaining-site
@@ -26,20 +27,14 @@ use std::sync::Arc;
 const COLUMN: &str = "c";
 const DOMAIN: (i64, i64) = (0, 200);
 
-/// The three store designs the serving benches compare, built here
-/// directly so the local member exercises each of them.
+/// A local member store whose column is plan-less (one shard over all
+/// of `i64`) or split into 4 shards.
 fn local_store(design: &str, seed: u64) -> Box<dyn ColumnStore> {
-    let mut plan = ShardPlan::new(DOMAIN.0, DOMAIN.1, 4).unwrap();
-    if design == "sharded-channels" {
-        plan = plan.channel();
+    let store: Box<dyn ColumnStore> = Box::new(ShardedCatalog::new());
+    let mut config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0)).with_seed(seed);
+    if design == "sharded" {
+        config = config.with_plan(ShardPlan::new(DOMAIN.0, DOMAIN.1, 4).unwrap());
     }
-    let store: Box<dyn ColumnStore> = match design {
-        "single-RwLock" => Box::new(Catalog::new()),
-        _ => Box::new(ShardedCatalog::new()),
-    };
-    let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0))
-        .with_seed(seed)
-        .with_plan(plan);
     store.register(COLUMN, config).unwrap();
     store
 }
@@ -81,7 +76,7 @@ fn spawn_remote(
     values: impl Iterator<Item = i64>,
 ) -> (SiteServer, RemoteSite) {
     let store =
-        Arc::new(DurableStore::open(dir.path(), StoreKind::Single, durable_options()).unwrap());
+        Arc::new(DurableStore::open(dir.path(), StoreKind::Sharded, durable_options()).unwrap());
     let server = SiteServer::spawn(store).unwrap();
     let site = RemoteSite::new(name, server.addr());
     site.register(
@@ -95,7 +90,7 @@ fn spawn_remote(
 
 #[test]
 fn three_sites_serve_degrade_and_catch_up_across_all_designs() {
-    for design in ["single-RwLock", "sharded-locks", "sharded-channels"] {
+    for design in ["plan-less", "sharded"] {
         // --- Build: one local member plus two socket-remote members.
         let local = local_store(design, 42);
         let site0 = Arc::new(LocalSite::new("local", local));
@@ -153,7 +148,7 @@ fn three_sites_serve_degrade_and_catch_up_across_all_designs() {
         // --- Restart r2 from its own changelog, on the same address:
         // the very next read heals, bit-identically.
         let store2b = Arc::new(
-            DurableStore::open(dir2.path(), StoreKind::Single, durable_options()).unwrap(),
+            DurableStore::open(dir2.path(), StoreKind::Sharded, durable_options()).unwrap(),
         );
         let mut server2b = SiteServer::spawn_on(Arc::clone(&store2b), addr2).unwrap();
         let spans2_after = site2.snapshot_spans(COLUMN, None).unwrap();
@@ -183,7 +178,7 @@ fn three_sites_serve_degrade_and_catch_up_across_all_designs() {
         drop(server2b);
         let dir2c = TempDir::new("global_sites_r2_rebuilt");
         let store2c = Arc::new(
-            DurableStore::open(dir2c.path(), StoreKind::Single, durable_options()).unwrap(),
+            DurableStore::open(dir2c.path(), StoreKind::Sharded, durable_options()).unwrap(),
         );
         let _server2c = SiteServer::spawn_on(Arc::clone(&store2c), addr2).unwrap();
         let stale_read = global.snapshot(COLUMN).unwrap();
@@ -243,8 +238,8 @@ fn three_sites_serve_degrade_and_catch_up_across_all_designs() {
 
 #[test]
 fn global_catalog_is_read_only_and_reports_union_metadata() {
-    let a = local_store("single-RwLock", 1);
-    let b = local_store("single-RwLock", 2);
+    let a = local_store("plan-less", 1);
+    let b = local_store("plan-less", 2);
     let site_a = Arc::new(LocalSite::new("a", a));
     let site_b = Arc::new(LocalSite::new("b", b));
     commit_values(site_a.as_ref(), site_values(0, 100));
@@ -321,7 +316,7 @@ proptest! {
         // Partition the stream round-robin across k member sites.
         let mut sites: Vec<Arc<dyn dynamic_histograms::site::Site>> = Vec::new();
         for s in 0..k {
-            let store = local_store("single-RwLock", seed);
+            let store = local_store("plan-less", seed);
             let site = Arc::new(LocalSite::new(format!("s{s}"), store));
             commit_values(site.as_ref(), values.iter().skip(s).step_by(k).copied());
             sites.push(site);
@@ -330,7 +325,7 @@ proptest! {
         let g_snap = global.snapshot(COLUMN).unwrap();
 
         // The pooled reference: one sharded catalog over the union.
-        let pooled = local_store("sharded-locks", seed);
+        let pooled = local_store("sharded", seed);
         let mut batch = WriteBatch::new();
         for &v in &values {
             batch.insert(COLUMN, v);

@@ -1,7 +1,7 @@
 //! Wait-free read-path regression suite (see `docs/READ_PATH.md`).
 //!
-//! Three contracts, each driven over the single-lock store and both
-//! sharded ingestion designs:
+//! Three contracts, each driven over plan-less columns (one shard, one
+//! lock) and sharded ones:
 //!
 //! * **Zero-lock hot path.** While writers burst-commit, readers serving
 //!   the current epoch off `snapshot` / `snapshot_set` / `estimate_*`
@@ -27,12 +27,12 @@ const DOMAIN: (i64, i64) = (0, 799);
 /// Inserts per column per committed batch.
 const PER_BATCH: i64 = 8;
 
-fn register_columns(store: &dyn ColumnStore, channel: bool) {
-    let plan = ShardPlan::new(DOMAIN.0, DOMAIN.1, SHARDS).unwrap();
-    let plan = if channel { plan.channel() } else { plan };
-    let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0))
-        .with_seed(7)
-        .with_plan(plan);
+/// Registers columns `a` and `b`: [`SHARDS`]-sharded, or plan-less.
+fn register_columns(store: &dyn ColumnStore, sharded: bool) {
+    let mut config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0)).with_seed(7);
+    if sharded {
+        config = config.with_plan(ShardPlan::new(DOMAIN.0, DOMAIN.1, SHARDS).unwrap());
+    }
     store.register("a", config).unwrap();
     store.register("b", config).unwrap();
 }
@@ -129,23 +129,16 @@ fn run_commit_burst(store: &dyn ColumnStore, label: &str) {
 
 #[test]
 fn single_lock_hot_path_never_slow_renders_under_commit_burst() {
-    let store = Catalog::new();
+    let store = ShardedCatalog::new();
     register_columns(&store, false);
-    run_commit_burst(&store, "catalog");
+    run_commit_burst(&store, "plan-less");
 }
 
 #[test]
 fn sharded_locked_hot_path_never_slow_renders_under_commit_burst() {
     let store = ShardedCatalog::new();
-    register_columns(&store, false);
-    run_commit_burst(&store, "sharded-locked");
-}
-
-#[test]
-fn sharded_channel_hot_path_never_slow_renders_under_commit_burst() {
-    let store = ShardedCatalog::new();
     register_columns(&store, true);
-    run_commit_burst(&store, "sharded-channel");
+    run_commit_burst(&store, "sharded");
 }
 
 /// Read-your-writes through the cache: the generation swap happens
@@ -184,23 +177,16 @@ fn run_no_stale_after_writes(store: &dyn ColumnStore, label: &str) {
 
 #[test]
 fn single_lock_cache_is_never_stale_after_apply() {
-    let store = Catalog::new();
+    let store = ShardedCatalog::new();
     register_columns(&store, false);
-    run_no_stale_after_writes(&store, "catalog");
+    run_no_stale_after_writes(&store, "plan-less");
 }
 
 #[test]
 fn sharded_locked_cache_is_never_stale_after_apply() {
     let store = ShardedCatalog::new();
-    register_columns(&store, false);
-    run_no_stale_after_writes(&store, "sharded-locked");
-}
-
-#[test]
-fn sharded_channel_cache_is_never_stale_after_apply() {
-    let store = ShardedCatalog::new();
     register_columns(&store, true);
-    run_no_stale_after_writes(&store, "sharded-channel");
+    run_no_stale_after_writes(&store, "sharded");
 }
 
 /// A forced re-shard rebuilds cells at the *same* epoch, so it must
@@ -209,30 +195,27 @@ fn sharded_channel_cache_is_never_stale_after_apply() {
 /// matching the exact post-reshard state.
 #[test]
 fn reshard_swaps_the_generation_and_conserves_cached_mass() {
-    for channel in [false, true] {
-        let store = ShardedCatalog::new();
-        register_columns(&store, channel);
-        let label = if channel { "channel" } else { "locked" };
-        // Skewed mass so balanced borders differ from the uniform plan.
-        let skew: Vec<UpdateOp> = (0..2000).map(|i| UpdateOp::Insert(i % 50)).collect();
-        store.apply("a", &skew).unwrap();
-        let before = store.total_count("a").unwrap();
-        let inv_before = store.read_stats().cache_invalidations;
+    let store = ShardedCatalog::new();
+    register_columns(&store, true);
+    // Skewed mass so balanced borders differ from the uniform plan.
+    let skew: Vec<UpdateOp> = (0..2000).map(|i| UpdateOp::Insert(i % 50)).collect();
+    store.apply("a", &skew).unwrap();
+    let before = store.total_count("a").unwrap();
+    let inv_before = store.read_stats().cache_invalidations;
 
-        let moved = store.reshard("a").unwrap();
-        assert!(moved, "{label}: skewed load left the borders unmoved");
-        let stats = store.read_stats();
-        assert!(
-            stats.cache_invalidations > inv_before,
-            "{label}: re-shard left the old generation (and its cache) in place: {stats:?}"
-        );
-        let after = store.total_count("a").unwrap();
-        assert!(
-            (after - before).abs() < 1e-6,
-            "{label}: re-shard changed cached mass: {before} -> {after}"
-        );
-        assert_eq!(store.read_stats().slow_renders, 0, "{label}");
-    }
+    let moved = store.reshard("a").unwrap();
+    assert!(moved, "skewed load left the borders unmoved");
+    let stats = store.read_stats();
+    assert!(
+        stats.cache_invalidations > inv_before,
+        "re-shard left the old generation (and its cache) in place: {stats:?}"
+    );
+    let after = store.total_count("a").unwrap();
+    assert!(
+        (after - before).abs() < 1e-6,
+        "re-shard changed cached mass: {before} -> {after}"
+    );
+    assert_eq!(store.read_stats().slow_renders, 0);
 }
 
 /// Readers race a writer *and* a forcing re-sharder: every cached
@@ -242,7 +225,7 @@ fn reshard_swaps_the_generation_and_conserves_cached_mass() {
 #[test]
 fn racing_reshard_never_exposes_a_stale_cache_entry() {
     let store = ShardedCatalog::new();
-    register_columns(&store, false);
+    register_columns(&store, true);
     store.commit(batch(0)).unwrap();
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -314,20 +297,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Cached estimates are **bit-identical** to uncached ones, at every
-    /// epoch, on every store design: the cache memoizes the exact f64
+    /// epoch, on every column shape: the cache memoizes the exact f64
     /// the first computation produced, and the uncached arithmetic runs
     /// on the same immutable snapshot.
     #[test]
     fn cached_estimates_are_bit_identical_to_uncached(inputs in bit_identity_inputs()) {
         let (values, p, q, e) = inputs;
         let (lo, hi) = (p.min(q), p.max(q));
-        let stores: Vec<(&str, Box<dyn ColumnStore>)> = vec![
-            ("catalog", Box::new(Catalog::new())),
-            ("sharded-locked", Box::new(ShardedCatalog::new())),
-            ("sharded-channel", Box::new(ShardedCatalog::new())),
-        ];
-        for (label, store) in stores {
-            register_columns(store.as_ref(), label == "sharded-channel");
+        for label in ["plan-less", "sharded"] {
+            let store = ShardedCatalog::new();
+            register_columns(&store, label == "sharded");
             // Two epochs: half the values per commit, probing after each.
             let mid = values.len() / 2;
             for chunk in [&values[..mid], &values[mid..]] {

@@ -107,9 +107,9 @@ proptest! {
     }
 }
 
-/// A full combined rebuild — new `k`, new algorithm, new budget, new
-/// ingestion design in one barrier — lands with every delta applied
-/// and the mass intact; the registered spec stays frozen by contract.
+/// A full combined rebuild — new `k`, new algorithm, new budget in one
+/// barrier — lands with every delta applied and the mass intact; the
+/// registered spec stays frozen by contract.
 #[test]
 fn combined_rebuild_applies_every_delta_atomically() {
     let cat = sharded(AlgoSpec::Dc, 4, 11);
@@ -122,8 +122,7 @@ fn combined_rebuild_applies_every_delta_atomically() {
             RebuildPlan::new()
                 .with_shards(12)
                 .with_spec(AlgoSpec::Dado)
-                .with_memory(MemoryBudget::from_kb(2.0))
-                .with_ingest_mode(IngestMode::Channel),
+                .with_memory(MemoryBudget::from_kb(2.0)),
         )
         .unwrap());
 
@@ -131,15 +130,13 @@ fn combined_rebuild_applies_every_delta_atomically() {
     assert_eq!(shape.shards, 12);
     assert_eq!(shape.spec, AlgoSpec::Dado);
     assert_eq!(shape.memory, MemoryBudget::from_kb(2.0));
-    assert_eq!(shape.ingest_mode, IngestMode::Channel);
     assert_eq!(shape.domain, DOMAIN);
     // The registration spec is the frozen contract; the live shape is
     // the accessor for what is actually serving.
     assert_eq!(cat.spec("c").unwrap(), AlgoSpec::Dc);
     assert!((cat.total_count("c").unwrap() - 2_000.0).abs() < 1e-6);
 
-    // The rebuilt store keeps ingesting (through the channel design)
-    // and reading.
+    // The rebuilt store keeps ingesting and reading.
     cat.apply("c", &ops).unwrap();
     assert!((cat.total_count("c").unwrap() - 4_000.0).abs() < 1e-6);
 }
@@ -162,19 +159,6 @@ fn empty_plans_rebalance_and_degenerate_plans_are_rejected() {
         Err(CatalogError::InvalidShardPlan(_))
     ));
     assert!(cat.rebuild("ghost", RebuildPlan::new()).is_err());
-
-    // Unsharded stores have no shape to rebuild: the trait defaults.
-    let plain = Catalog::new();
-    plain
-        .register(
-            "c",
-            ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(0.5)),
-        )
-        .unwrap();
-    assert!(!plain
-        .rebuild("c", RebuildPlan::new().with_shards(4))
-        .unwrap());
-    assert_eq!(plain.column_shape("c").unwrap(), None);
 }
 
 /// The autoscaling acceptance loop on a bare sharded store: a hot

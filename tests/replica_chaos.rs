@@ -18,9 +18,9 @@
 //!   checkpoint restore in the follower's past) the converged state is
 //!   **bit**-identical, span for span.
 //!
-//! Every design ships the mid-stream re-shard too: the sharded leaders
-//! move their borders halfway through, and the follower must replay the
-//! move at its exact barrier for the bit-identity assertions to hold.
+//! Every run ships the mid-stream re-shard too: the sharded leader moves
+//! its borders halfway through, and the follower must replay the move
+//! at its exact barrier for the bit-identity assertions to hold.
 
 use dynamic_histograms::prelude::*;
 use dynamic_histograms::replica::chaos::ChaosDir;
@@ -29,37 +29,25 @@ const OPS: u64 = 8;
 const EPOCHS: u64 = 24;
 const DOMAIN: (i64, i64) = (0, 999);
 
-/// The three ingestion designs, as a durable leader configures them.
+/// The column shapes a durable leader is driven with.
 #[derive(Debug, Clone, Copy)]
 enum Design {
-    SingleLock,
-    ShardedLock,
-    ShardedChannel,
+    /// A column registered without a plan: one shard, one lock.
+    PlanLess,
+    /// A 4-shard column.
+    Sharded,
 }
 
 impl Design {
-    fn all() -> [Design; 3] {
-        [
-            Design::SingleLock,
-            Design::ShardedLock,
-            Design::ShardedChannel,
-        ]
-    }
-
-    fn kind(self) -> StoreKind {
-        match self {
-            Design::SingleLock => StoreKind::Single,
-            Design::ShardedLock | Design::ShardedChannel => StoreKind::Sharded,
-        }
+    fn all() -> [Design; 2] {
+        [Design::PlanLess, Design::Sharded]
     }
 
     fn config(self) -> ColumnConfig {
         let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(0.5)).with_seed(3);
-        let plan = ShardPlan::new(DOMAIN.0, DOMAIN.1, 4).unwrap();
         match self {
-            Design::SingleLock => config,
-            Design::ShardedLock => config.with_plan(plan),
-            Design::ShardedChannel => config.with_plan(plan.channel()),
+            Design::PlanLess => config,
+            Design::Sharded => config.with_plan(ShardPlan::new(DOMAIN.0, DOMAIN.1, 4).unwrap()),
         }
     }
 }
@@ -98,7 +86,7 @@ fn run_chaos(design: Design, chaos_seed: u64, checkpoint_every: Option<u64>) {
     let follower_dir = TempDir::new("chaos-follower");
     let leader = DurableStore::open(
         leader_dir.path(),
-        design.kind(),
+        StoreKind::Sharded,
         DurableOptions {
             sync: SyncPolicy::Off,
             checkpoint_every,
@@ -110,13 +98,14 @@ fn run_chaos(design: Design, chaos_seed: u64, checkpoint_every: Option<u64>) {
 
     let mut chaos = ChaosDir::new(leader_dir.path(), follower_dir.path(), chaos_seed).unwrap();
     let follower =
-        dynamic_histograms::replica::Follower::open(chaos.follower_dir(), design.kind()).unwrap();
+        dynamic_histograms::replica::Follower::open(chaos.follower_dir(), StoreKind::Sharded)
+            .unwrap();
 
     let mut saw_restore = false;
     let mut last_epoch = 0u64;
     for e in 1..=EPOCHS {
         leader.apply("c", &epoch_ops(e)).unwrap();
-        if e == EPOCHS / 2 && !matches!(design, Design::SingleLock) {
+        if e == EPOCHS / 2 && !matches!(design, Design::PlanLess) {
             // Mid-stream border move; the skewed batches guarantee the
             // equal-width plan is imbalanced enough to actually move.
             assert!(leader.reshard("c").unwrap(), "re-shard should move");

@@ -7,8 +7,8 @@
 //! reopened (a replica restart) between epochs, chosen by a generated
 //! schedule. With no checkpoints in play the follower's whole history
 //! is pure log replay, so the final `SnapshotSet` must match the
-//! leader's span for span in raw bits — across all three ingestion
-//! designs.
+//! leader's span for span in raw bits — for plan-less and sharded
+//! columns alike.
 //!
 //! Deterministic companions pin down the edges the random schedule
 //! can't guarantee it hits: a mid-stream re-shard that *must* move
@@ -27,34 +27,22 @@ const DOMAIN: (i64, i64) = (0, 999);
 
 #[derive(Debug, Clone, Copy)]
 enum Design {
-    SingleLock,
-    ShardedLock,
-    ShardedChannel,
+    /// A column registered without a plan: one shard, one lock.
+    PlanLess,
+    /// A 4-shard column.
+    Sharded,
 }
 
 impl Design {
-    fn all() -> [Design; 3] {
-        [
-            Design::SingleLock,
-            Design::ShardedLock,
-            Design::ShardedChannel,
-        ]
-    }
-
-    fn kind(self) -> StoreKind {
-        match self {
-            Design::SingleLock => StoreKind::Single,
-            Design::ShardedLock | Design::ShardedChannel => StoreKind::Sharded,
-        }
+    fn all() -> [Design; 2] {
+        [Design::PlanLess, Design::Sharded]
     }
 
     fn config(self) -> ColumnConfig {
         let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(0.5)).with_seed(3);
-        let plan = ShardPlan::new(DOMAIN.0, DOMAIN.1, 4).unwrap();
         match self {
-            Design::SingleLock => config,
-            Design::ShardedLock => config.with_plan(plan),
-            Design::ShardedChannel => config.with_plan(plan.channel()),
+            Design::PlanLess => config,
+            Design::Sharded => config.with_plan(ShardPlan::new(DOMAIN.0, DOMAIN.1, 4).unwrap()),
         }
     }
 }
@@ -97,13 +85,13 @@ impl Step {
 /// follower by `schedule`, then converges and demands bit-identity.
 fn run_parity(design: Design, batches: &[Vec<UpdateOp>], schedule: &[Step]) {
     let dir = TempDir::new("replica-parity");
-    let leader = DurableStore::open(dir.path(), design.kind(), opts()).unwrap();
+    let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts()).unwrap();
     leader.register("c", design.config()).unwrap();
-    let mut follower = Follower::open(dir.path(), design.kind()).unwrap();
+    let mut follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
 
     for (i, batch) in batches.iter().enumerate() {
         leader.apply("c", batch).unwrap();
-        if i == batches.len() / 2 && !matches!(design, Design::SingleLock) {
+        if i == batches.len() / 2 && !matches!(design, Design::PlanLess) {
             // Mid-stream border move; arbitrary workloads may or may
             // not be skewed enough for it to fire — parity must hold
             // either way (the deterministic test below forces it).
@@ -117,7 +105,7 @@ fn run_parity(design: Design, batches: &[Vec<UpdateOp>], schedule: &[Step]) {
             Step::Restart => {
                 // A replica restart: all tailing state is gone; the
                 // fresh follower replays the whole log from scratch.
-                follower = Follower::open(dir.path(), design.kind()).unwrap();
+                follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
             }
         }
     }
@@ -171,40 +159,39 @@ proptest! {
 /// wrong borders and break the counters even if the histogram healed.
 #[test]
 fn mid_stream_reshard_replays_at_its_exact_barrier() {
-    for design in [Design::ShardedLock, Design::ShardedChannel] {
-        let dir = TempDir::new("replica-reshard");
-        let leader = DurableStore::open(dir.path(), design.kind(), opts()).unwrap();
-        leader.register("c", design.config()).unwrap();
-        let follower = Follower::open(dir.path(), design.kind()).unwrap();
+    let design = Design::Sharded;
+    let dir = TempDir::new("replica-reshard");
+    let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts()).unwrap();
+    leader.register("c", design.config()).unwrap();
+    let follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
 
-        // Heavily skewed: everything lands in the first equal-width
-        // shard, so the re-shard must move borders.
-        for e in 0..12i64 {
-            let batch: Vec<UpdateOp> = (0..32)
-                .map(|j| UpdateOp::Insert((e * 7 + j) % 120))
-                .collect();
-            leader.apply("c", &batch).unwrap();
-            if e == 6 {
-                assert!(
-                    leader.reshard("c").unwrap(),
-                    "{design:?}: borders must move"
-                );
-            }
-            follower.poll().unwrap();
+    // Heavily skewed: everything lands in the first equal-width
+    // shard, so the re-shard must move borders.
+    for e in 0..12i64 {
+        let batch: Vec<UpdateOp> = (0..32)
+            .map(|j| UpdateOp::Insert((e * 7 + j) % 120))
+            .collect();
+        leader.apply("c", &batch).unwrap();
+        if e == 6 {
+            assert!(
+                leader.reshard("c").unwrap(),
+                "{design:?}: borders must move"
+            );
         }
         follower.poll().unwrap();
-        assert_eq!(follower.epoch(), leader.epoch());
-        assert_eq!(
-            follower.shard_load("c").unwrap(),
-            leader.shard_load("c").unwrap(),
-            "{design:?}: shard counters prove the barrier was missed"
-        );
-        assert_eq!(
-            span_bits(&follower.snapshot("c").unwrap()),
-            span_bits(&leader.snapshot("c").unwrap()),
-            "{design:?}: post-re-shard state not bit-identical"
-        );
     }
+    follower.poll().unwrap();
+    assert_eq!(follower.epoch(), leader.epoch());
+    assert_eq!(
+        follower.shard_load("c").unwrap(),
+        leader.shard_load("c").unwrap(),
+        "{design:?}: shard counters prove the barrier was missed"
+    );
+    assert_eq!(
+        span_bits(&follower.snapshot("c").unwrap()),
+        span_bits(&leader.snapshot("c").unwrap()),
+        "{design:?}: post-re-shard state not bit-identical"
+    );
 }
 
 /// Mid-stream **shape** changes: the leader grows the shard count and
@@ -217,56 +204,55 @@ fn mid_stream_reshard_replays_at_its_exact_barrier() {
 /// shape history from scratch to the same state.
 #[test]
 fn mid_stream_rebuild_replays_at_its_exact_barrier() {
-    for design in [Design::ShardedLock, Design::ShardedChannel] {
-        let dir = TempDir::new("replica-rebuild");
-        let leader = DurableStore::open(dir.path(), design.kind(), opts()).unwrap();
-        leader.register("c", design.config()).unwrap();
-        let follower = Follower::open(dir.path(), design.kind()).unwrap();
+    let design = Design::Sharded;
+    let dir = TempDir::new("replica-rebuild");
+    let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts()).unwrap();
+    leader.register("c", design.config()).unwrap();
+    let follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
 
-        for e in 0..12i64 {
-            let batch: Vec<UpdateOp> = (0..32)
-                .map(|j| UpdateOp::Insert((e * 7 + j) % 120))
-                .collect();
-            leader.apply("c", &batch).unwrap();
-            if e == 4 {
-                assert!(leader
-                    .rebuild("c", RebuildPlan::new().with_shards(8))
-                    .unwrap());
-            }
-            if e == 8 {
-                assert!(leader
-                    .rebuild("c", RebuildPlan::new().with_spec(AlgoSpec::Dado))
-                    .unwrap());
-            }
-            follower.poll().unwrap();
+    for e in 0..12i64 {
+        let batch: Vec<UpdateOp> = (0..32)
+            .map(|j| UpdateOp::Insert((e * 7 + j) % 120))
+            .collect();
+        leader.apply("c", &batch).unwrap();
+        if e == 4 {
+            assert!(leader
+                .rebuild("c", RebuildPlan::new().with_shards(8))
+                .unwrap());
+        }
+        if e == 8 {
+            assert!(leader
+                .rebuild("c", RebuildPlan::new().with_spec(AlgoSpec::Dado))
+                .unwrap());
         }
         follower.poll().unwrap();
-        assert_eq!(follower.epoch(), leader.epoch());
-        assert_eq!(
-            follower.shard_load("c").unwrap(),
-            leader.shard_load("c").unwrap(),
-            "{design:?}: shard counters prove a rebuild barrier was missed"
-        );
-        assert_eq!(
-            span_bits(&follower.snapshot("c").unwrap()),
-            span_bits(&leader.snapshot("c").unwrap()),
-            "{design:?}: post-rebuild state not bit-identical"
-        );
-        let shape = follower.column_shape("c").unwrap().unwrap();
-        assert_eq!(shape.shards, 8);
-        assert_eq!(shape.spec, AlgoSpec::Dado);
-        assert_eq!(shape, leader.column_shape("c").unwrap().unwrap());
-
-        // A fresh follower replays the whole shape history from scratch.
-        let restarted = Follower::open(dir.path(), design.kind()).unwrap();
-        restarted.poll().unwrap();
-        assert_eq!(restarted.epoch(), leader.epoch());
-        assert_eq!(
-            span_bits(&restarted.snapshot("c").unwrap()),
-            span_bits(&leader.snapshot("c").unwrap()),
-            "{design:?}: restarted follower diverged across rebuilds"
-        );
     }
+    follower.poll().unwrap();
+    assert_eq!(follower.epoch(), leader.epoch());
+    assert_eq!(
+        follower.shard_load("c").unwrap(),
+        leader.shard_load("c").unwrap(),
+        "{design:?}: shard counters prove a rebuild barrier was missed"
+    );
+    assert_eq!(
+        span_bits(&follower.snapshot("c").unwrap()),
+        span_bits(&leader.snapshot("c").unwrap()),
+        "{design:?}: post-rebuild state not bit-identical"
+    );
+    let shape = follower.column_shape("c").unwrap().unwrap();
+    assert_eq!(shape.shards, 8);
+    assert_eq!(shape.spec, AlgoSpec::Dado);
+    assert_eq!(shape, leader.column_shape("c").unwrap().unwrap());
+
+    // A fresh follower replays the whole shape history from scratch.
+    let restarted = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
+    restarted.poll().unwrap();
+    assert_eq!(restarted.epoch(), leader.epoch());
+    assert_eq!(
+        span_bits(&restarted.snapshot("c").unwrap()),
+        span_bits(&leader.snapshot("c").unwrap()),
+        "{design:?}: restarted follower diverged across rebuilds"
+    );
 }
 
 /// Back-to-back shape changes at the **same barrier**: rebuilds publish
@@ -278,69 +264,68 @@ fn mid_stream_rebuild_replays_at_its_exact_barrier() {
 /// three); the ordinal-based dedup must apply each exactly once.
 #[test]
 fn same_barrier_rebuild_stack_replays_every_record() {
-    for design in [Design::ShardedLock, Design::ShardedChannel] {
-        let dir = TempDir::new("replica-same-barrier");
-        let leader = DurableStore::open(dir.path(), design.kind(), opts()).unwrap();
-        leader.register("c", design.config()).unwrap();
-        let follower = Follower::open(dir.path(), design.kind()).unwrap();
+    let design = Design::Sharded;
+    let dir = TempDir::new("replica-same-barrier");
+    let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts()).unwrap();
+    leader.register("c", design.config()).unwrap();
+    let follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
 
-        // Skewed mass so the border move is guaranteed to be a move.
-        for e in 0..6i64 {
-            let batch: Vec<UpdateOp> = (0..32)
-                .map(|j| UpdateOp::Insert((e * 7 + j) % 120))
-                .collect();
-            leader.apply("c", &batch).unwrap();
-            follower.poll().unwrap();
-        }
-        // Three shape changes, no commit between them: one barrier.
-        assert!(
-            leader.reshard("c").unwrap(),
-            "{design:?}: borders must move"
-        );
-        assert!(leader
-            .rebuild("c", RebuildPlan::new().with_shards(8))
-            .unwrap());
-        assert!(leader
-            .rebuild("c", RebuildPlan::new().with_spec(AlgoSpec::Dado))
-            .unwrap());
-        for e in 6..10i64 {
-            let batch: Vec<UpdateOp> = (0..32)
-                .map(|j| UpdateOp::Insert((e * 7 + j) % 120))
-                .collect();
-            leader.apply("c", &batch).unwrap();
-            follower.poll().unwrap();
-        }
+    // Skewed mass so the border move is guaranteed to be a move.
+    for e in 0..6i64 {
+        let batch: Vec<UpdateOp> = (0..32)
+            .map(|j| UpdateOp::Insert((e * 7 + j) % 120))
+            .collect();
+        leader.apply("c", &batch).unwrap();
         follower.poll().unwrap();
-
-        assert_eq!(follower.epoch(), leader.epoch());
-        let shape = follower.column_shape("c").unwrap().unwrap();
-        assert_eq!(shape.shards, 8, "{design:?}: second rebuild was skipped");
-        assert_eq!(
-            shape.spec,
-            AlgoSpec::Dado,
-            "{design:?}: third rebuild was skipped"
-        );
-        assert_eq!(
-            follower.shard_load("c").unwrap(),
-            leader.shard_load("c").unwrap(),
-            "{design:?}: shard counters prove a same-barrier record was missed"
-        );
-        assert_eq!(
-            span_bits(&follower.snapshot("c").unwrap()),
-            span_bits(&leader.snapshot("c").unwrap()),
-            "{design:?}: same-barrier rebuild stack not bit-identical"
-        );
-
-        // A fresh follower replays the stack from scratch to the same
-        // state — and so does the leader's own recovery.
-        let restarted = Follower::open(dir.path(), design.kind()).unwrap();
-        restarted.poll().unwrap();
-        assert_eq!(
-            span_bits(&restarted.snapshot("c").unwrap()),
-            span_bits(&leader.snapshot("c").unwrap()),
-            "{design:?}: restarted follower diverged across the stack"
-        );
     }
+    // Three shape changes, no commit between them: one barrier.
+    assert!(
+        leader.reshard("c").unwrap(),
+        "{design:?}: borders must move"
+    );
+    assert!(leader
+        .rebuild("c", RebuildPlan::new().with_shards(8))
+        .unwrap());
+    assert!(leader
+        .rebuild("c", RebuildPlan::new().with_spec(AlgoSpec::Dado))
+        .unwrap());
+    for e in 6..10i64 {
+        let batch: Vec<UpdateOp> = (0..32)
+            .map(|j| UpdateOp::Insert((e * 7 + j) % 120))
+            .collect();
+        leader.apply("c", &batch).unwrap();
+        follower.poll().unwrap();
+    }
+    follower.poll().unwrap();
+
+    assert_eq!(follower.epoch(), leader.epoch());
+    let shape = follower.column_shape("c").unwrap().unwrap();
+    assert_eq!(shape.shards, 8, "{design:?}: second rebuild was skipped");
+    assert_eq!(
+        shape.spec,
+        AlgoSpec::Dado,
+        "{design:?}: third rebuild was skipped"
+    );
+    assert_eq!(
+        follower.shard_load("c").unwrap(),
+        leader.shard_load("c").unwrap(),
+        "{design:?}: shard counters prove a same-barrier record was missed"
+    );
+    assert_eq!(
+        span_bits(&follower.snapshot("c").unwrap()),
+        span_bits(&leader.snapshot("c").unwrap()),
+        "{design:?}: same-barrier rebuild stack not bit-identical"
+    );
+
+    // A fresh follower replays the stack from scratch to the same
+    // state — and so does the leader's own recovery.
+    let restarted = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
+    restarted.poll().unwrap();
+    assert_eq!(
+        span_bits(&restarted.snapshot("c").unwrap()),
+        span_bits(&leader.snapshot("c").unwrap()),
+        "{design:?}: restarted follower diverged across the stack"
+    );
 }
 
 /// Rebuild ordinals survive checkpoint pruning: after the cadence
@@ -357,9 +342,9 @@ fn rebuild_ordinals_survive_checkpoint_pruning_and_leader_restart() {
         checkpoint_every: Some(8),
         retain_generations: 2,
     };
-    let design = Design::ShardedLock;
+    let design = Design::Sharded;
     {
-        let leader = DurableStore::open(dir.path(), design.kind(), opts).unwrap();
+        let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
         leader.register("c", design.config()).unwrap();
         for e in 0..6i64 {
             let batch: Vec<UpdateOp> = (0..32)
@@ -379,8 +364,8 @@ fn rebuild_ordinals_survive_checkpoint_pruning_and_leader_restart() {
         leader.checkpoint_now().unwrap();
     }
 
-    let leader = DurableStore::open(dir.path(), design.kind(), opts).unwrap();
-    let follower = Follower::open(dir.path(), design.kind()).unwrap();
+    let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+    let follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
     follower.poll().unwrap();
     assert_eq!(follower.epoch(), leader.epoch());
 
@@ -415,9 +400,9 @@ fn rebuild_ordinals_survive_checkpoint_pruning_and_leader_restart() {
 fn leader_restart_mid_stream_keeps_the_follower_tailing() {
     for design in Design::all() {
         let dir = TempDir::new("replica-leader-restart");
-        let leader = DurableStore::open(dir.path(), design.kind(), opts()).unwrap();
+        let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts()).unwrap();
         leader.register("c", design.config()).unwrap();
-        let follower = Follower::open(dir.path(), design.kind()).unwrap();
+        let follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
 
         for e in 0..6i64 {
             leader
@@ -430,7 +415,7 @@ fn leader_restart_mid_stream_keeps_the_follower_tailing() {
         // Crash: drop the leader (sync on drop), recover it from its
         // own changelog, keep publishing.
         drop(leader);
-        let leader = DurableStore::open(dir.path(), design.kind(), opts()).unwrap();
+        let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts()).unwrap();
         assert_eq!(leader.epoch(), 6);
         for e in 6..12i64 {
             leader

@@ -22,11 +22,13 @@ use dynamic_histograms::prelude::*;
 
 const DOMAIN: (i64, i64) = (0, 999);
 
-fn config(kind: StoreKind) -> ColumnConfig {
+/// A 4-shard column, or a plan-less one.
+fn config(sharded: bool) -> ColumnConfig {
     let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(0.5)).with_seed(3);
-    match kind {
-        StoreKind::Single => config,
-        StoreKind::Sharded => config.with_plan(ShardPlan::new(DOMAIN.0, DOMAIN.1, 4).unwrap()),
+    if sharded {
+        config.with_plan(ShardPlan::new(DOMAIN.0, DOMAIN.1, 4).unwrap())
+    } else {
+        config
     }
 }
 
@@ -45,26 +47,30 @@ fn batch(e: i64) -> Vec<UpdateOp> {
 }
 
 /// Opens a `(leader, follower)` pair over one shared changelog dir.
-fn pair(dir: &TempDir, kind: StoreKind, opts: DurableOptions) -> (DurableStore, Follower) {
-    let leader = DurableStore::open(dir.path(), kind, opts).unwrap();
-    leader.register("c", config(kind)).unwrap();
-    let follower = Follower::open(dir.path(), kind).unwrap();
+fn pair(dir: &TempDir, sharded: bool, opts: DurableOptions) -> (DurableStore, Follower) {
+    let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+    leader.register("c", config(sharded)).unwrap();
+    let follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
     (leader, follower)
 }
 
 #[test]
 fn polling_after_every_commit_reports_zero_lag_despite_batched_sync() {
-    for kind in [StoreKind::Single, StoreKind::Sharded] {
+    for sharded in [false, true] {
         let dir = TempDir::new("staleness-zero");
         // Batched(64) never fsyncs during this test; the follower must
         // still see every commit through the shared directory.
-        let (leader, follower) = pair(&dir, kind, batched(64));
+        let (leader, follower) = pair(&dir, sharded, batched(64));
         for e in 1..=16i64 {
             leader.apply("c", &batch(e)).unwrap();
             let report = follower.poll().unwrap();
             assert_eq!(report.applied, 1);
             assert_eq!(follower.epoch(), leader.epoch());
-            assert_eq!(follower.lag_epochs(), 0, "{kind:?}: lag after a poll");
+            assert_eq!(
+                follower.lag_epochs(),
+                0,
+                "sharded {sharded}: lag after a poll"
+            );
         }
     }
 }
@@ -72,7 +78,7 @@ fn polling_after_every_commit_reports_zero_lag_despite_batched_sync() {
 #[test]
 fn a_withheld_follower_is_stale_by_exactly_the_skipped_commits() {
     let dir = TempDir::new("staleness-window");
-    let (leader, follower) = pair(&dir, StoreKind::Single, batched(4));
+    let (leader, follower) = pair(&dir, false, batched(4));
 
     // Warm up to a known point.
     leader.apply("c", &batch(1)).unwrap();
@@ -103,7 +109,7 @@ fn a_withheld_follower_is_stale_by_exactly_the_skipped_commits() {
 #[test]
 fn the_hint_never_overshoots_the_leader() {
     let dir = TempDir::new("staleness-hint");
-    let (leader, follower) = pair(&dir, StoreKind::Single, batched(4));
+    let (leader, follower) = pair(&dir, false, batched(4));
     for e in 1..=24i64 {
         leader.apply("c", &batch(e)).unwrap();
         if e % 7 == 0 {
@@ -126,7 +132,7 @@ fn the_hint_never_overshoots_the_leader() {
 #[test]
 fn rotation_and_pruning_add_no_staleness_to_a_live_tailer() {
     let dir = TempDir::new("staleness-rotate");
-    let (leader, follower) = pair(&dir, StoreKind::Single, batched(4));
+    let (leader, follower) = pair(&dir, false, batched(4));
     for e in 1..=20i64 {
         leader.apply("c", &batch(e)).unwrap();
         if e % 5 == 0 {

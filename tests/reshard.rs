@@ -295,9 +295,10 @@ fn policy_fires_automatically_and_rebalances() {
 
 #[test]
 fn unsharded_store_defaults_for_reshard_surface() {
-    // The trait has defaults for stores that do not partition: no
-    // borders to move, no per-shard loads, no clamping.
-    let cat = Catalog::new();
+    // A column registered without a plan is one shard over the whole
+    // `i64` domain: no borders to move, one load counter, and no value
+    // is ever clamped.
+    let cat = ShardedCatalog::new();
     cat.register(
         "c",
         ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(0.5)),
@@ -306,8 +307,13 @@ fn unsharded_store_defaults_for_reshard_surface() {
     cat.apply("c", &[UpdateOp::Insert(5), UpdateOp::Insert(1_000_000)])
         .unwrap();
     assert!(!cat.reshard("c").unwrap());
-    assert!(cat.shard_load("c").unwrap().is_empty());
+    assert_eq!(cat.shard_load("c").unwrap(), vec![2]);
     assert_eq!(cat.clamped_ops("c").unwrap(), 0);
+    let shape = cat
+        .column_shape("c")
+        .unwrap()
+        .expect("every column has a shape");
+    assert_eq!((shape.shards, shape.domain), (1, (i64::MIN, i64::MAX)));
     assert!(cat.reshard("ghost").is_err());
     assert!(cat.shard_load("ghost").is_err());
     assert!(cat.clamped_ops("ghost").is_err());

@@ -1,13 +1,12 @@
 //! Multi-writer concurrency over the sharded serving layer: several
 //! writer threads ingest batches into the *same* column while readers
 //! estimate off composed snapshots — no panics, monotone checkpoints,
-//! exact mass accounting at the end. Exercised for both ingestion
-//! designs (per-shard locks and per-shard MPSC workers).
+//! exact mass accounting at the end.
 //!
 //! Each writer deletes only values it inserted in its *own* earlier
-//! batches: per-writer ordering is preserved by both designs (locked
-//! applies are synchronous; MPSC is FIFO per sender), so deletions always
-//! target live values no matter how writers interleave.
+//! batches: a commit is applied before it returns, so per-writer order
+//! is preserved and deletions always target live values no matter how
+//! writers interleave.
 
 use dynamic_histograms::core::{ReadHistogram, UpdateOp};
 use dynamic_histograms::prelude::*;
@@ -106,11 +105,6 @@ fn run(plan: ShardPlan) {
 #[test]
 fn multi_writer_locked_ingestion() {
     run(ShardPlan::new(DOMAIN.0, DOMAIN.1, 8).unwrap());
-}
-
-#[test]
-fn multi_writer_channel_ingestion() {
-    run(ShardPlan::new(DOMAIN.0, DOMAIN.1, 8).unwrap().channel());
 }
 
 #[test]

@@ -3,13 +3,13 @@
 //! batch partially applied across the shards of one column, nor across
 //! the columns of one batch. This is the race PR 3 documented for the
 //! sharded catalog (a batch landed shard-by-shard) made into a test,
-//! driven generically over `&dyn ColumnStore` for the single-lock
-//! store and both sharded ingestion designs (`IngestMode::Locked` and
-//! `::Channel`).
+//! driven generically over `&dyn ColumnStore` for plan-less columns
+//! (one shard, one lock) and sharded ones.
 //!
 //! The workload makes tearing arithmetically visible: every committed
 //! batch inserts exactly one value into *each* of the 8 shard ranges of
-//! *both* columns. Therefore, at any pinned epoch `e`:
+//! *both* columns (for a plan-less column, 8 values into its one
+//! shard). Therefore, at any pinned epoch `e`:
 //!
 //! * each column's total mass is exactly `8 * e` (epoch `k` contributed
 //!   its full 8 or nothing), and
@@ -171,66 +171,38 @@ fn run_racing(
     }
 }
 
-fn register_both(store: &dyn ColumnStore, plan: ShardPlan) {
-    let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0))
-        .with_seed(9)
-        .with_plan(plan);
+fn register_both(store: &dyn ColumnStore, plan: Option<ShardPlan>) {
+    let config = ColumnConfig {
+        plan,
+        ..ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0)).with_seed(9)
+    };
     store.register("a", config).unwrap();
     store.register("b", config).unwrap();
 }
 
+fn plan() -> Option<ShardPlan> {
+    Some(ShardPlan::new(DOMAIN.0, DOMAIN.1, SHARDS as usize).unwrap())
+}
+
 #[test]
 fn single_lock_store_never_serves_torn_batches() {
-    let store = Catalog::new();
-    register_both(
-        &store,
-        ShardPlan::new(DOMAIN.0, DOMAIN.1, SHARDS as usize).unwrap(),
-    );
-    run_racing(&store, "catalog", batch, false);
+    let store = ShardedCatalog::new();
+    register_both(&store, None);
+    run_racing(&store, "plan-less", batch, false);
 }
 
 #[test]
 fn sharded_locked_store_never_serves_torn_batches() {
     let store = ShardedCatalog::new();
-    register_both(
-        &store,
-        ShardPlan::new(DOMAIN.0, DOMAIN.1, SHARDS as usize).unwrap(),
-    );
-    run_racing(&store, "sharded-locked", batch, false);
-}
-
-#[test]
-fn sharded_channel_store_never_serves_torn_batches() {
-    let store = ShardedCatalog::new();
-    register_both(
-        &store,
-        ShardPlan::new(DOMAIN.0, DOMAIN.1, SHARDS as usize)
-            .unwrap()
-            .channel(),
-    );
-    run_racing(&store, "sharded-channel", batch, false);
+    register_both(&store, plan());
+    run_racing(&store, "sharded", batch, false);
 }
 
 #[test]
 fn sharded_locked_reshard_under_fire_keeps_whole_epochs() {
     let store = ShardedCatalog::new();
-    register_both(
-        &store,
-        ShardPlan::new(DOMAIN.0, DOMAIN.1, SHARDS as usize).unwrap(),
-    );
-    run_racing(&store, "sharded-locked+reshard", drifting_batch, true);
-}
-
-#[test]
-fn sharded_channel_reshard_under_fire_keeps_whole_epochs() {
-    let store = ShardedCatalog::new();
-    register_both(
-        &store,
-        ShardPlan::new(DOMAIN.0, DOMAIN.1, SHARDS as usize)
-            .unwrap()
-            .channel(),
-    );
-    run_racing(&store, "sharded-channel+reshard", drifting_batch, true);
+    register_both(&store, plan());
+    run_racing(&store, "sharded+reshard", drifting_batch, true);
 }
 
 /// The provided `estimate_*`/`total_count` convenience methods each pin
@@ -239,7 +211,7 @@ fn sharded_channel_reshard_under_fire_keeps_whole_epochs() {
 /// pinned together and cannot.
 #[test]
 fn snapshot_set_reads_cannot_straddle_epochs() {
-    let store = Catalog::new();
+    let store = ShardedCatalog::new();
     let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(0.5));
     store.register("a", config).unwrap();
     store.register("b", config).unwrap();

@@ -44,7 +44,7 @@ fn config() -> ColumnConfig {
 /// bytes.
 fn reference_log(dir: &Path) -> Vec<u8> {
     {
-        let store = DurableStore::open(dir, StoreKind::Single, opts()).unwrap();
+        let store = DurableStore::open(dir, StoreKind::Sharded, opts()).unwrap();
         store.register("a", config()).unwrap();
         store.register("b", config()).unwrap();
         for e in 0..EPOCHS {
@@ -67,7 +67,7 @@ fn reference_log(dir: &Path) -> Vec<u8> {
 fn open_and_check(bytes: &[u8], label: &str) -> Option<u64> {
     let dir = TempDir::new(label);
     fs::write(dir.path().join(format!("wal-{:020}.seg", 0)), bytes).unwrap();
-    match DurableStore::open(dir.path(), StoreKind::Single, opts()) {
+    match DurableStore::open(dir.path(), StoreKind::Sharded, opts()) {
         Ok(store) => {
             let epoch = store.epoch();
             assert!(epoch <= EPOCHS, "recovered beyond the written history");
@@ -188,7 +188,7 @@ fn sealed_segment_damage_is_a_typed_error_not_a_truncation() {
     second.extend_from_slice(&bytes[split..]);
     fs::write(dir.path().join(format!("wal-{:020}.seg", 7)), &second).unwrap();
 
-    match DurableStore::open(dir.path(), StoreKind::Single, opts()) {
+    match DurableStore::open(dir.path(), StoreKind::Sharded, opts()) {
         Err(DurableError::Wal(WalError::Corrupt { .. })) => {}
         other => panic!("expected Corrupt, got {other:?}"),
     }
