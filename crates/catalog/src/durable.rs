@@ -21,12 +21,12 @@
 //!
 //! * concurrent writers behind one `DurableStore` no longer overlap
 //!   their publishes (part of the commit cost perfbench measures);
-//! * automatic re-sharding and autoscaling move from the inner store to
-//!   the decorator: [`DurableStore::open`] strips any [`ReshardPolicy`]
-//!   or [`AutoscalePolicy`] out of the configs it registers inside and
-//!   evaluates the same gates itself after each commit, so every border
-//!   move and shape change is logged with its exact barrier epoch and
-//!   replays deterministically.
+//! * the inner store still judges its own [`ReshardPolicy`] and
+//!   [`AutoscalePolicy`] after each commit, and the decorator logs every
+//!   rebuild that judgment ran with its exact barrier epoch, so replay
+//!   re-runs the decisions instead of re-judging them. Replay therefore
+//!   registers columns without their policies; [`DurableStore::open`]
+//!   arms them once the log is replayed.
 //!
 //! # Fidelity of recovery
 //!
@@ -53,9 +53,10 @@
 //! durable state.
 
 use crate::read::ReadStats;
+use crate::replay::{Replayed, Replayer};
 use crate::sharded::{
-    spread_inserts, AutoscalePolicy, ColumnShape, RebuildPlan, ReshardPolicy, ShardPlan,
-    ShardedCatalog,
+    spread_inserts, AutoscalePolicy, ColumnShape, RebuildEvent, RebuildPlan, ReshardPolicy,
+    ShardPlan, ShardedCatalog,
 };
 use crate::spec::AlgoSpec;
 use crate::store::{CatalogError, ColumnConfig, ColumnStore, Snapshot, SnapshotSet};
@@ -177,38 +178,22 @@ fn durability(e: WalError) -> CatalogError {
     CatalogError::Durability(e.to_string())
 }
 
-/// Everything guarded by the log lock: the changelog handle, the source
-/// of truth for configs (with their re-shard policies, which the inner
-/// store never sees), and the time-travel ring.
+/// Everything guarded by the log lock: the changelog handle, the
+/// replayer that holds the configs and rebuild ordinals, and the
+/// time-travel ring.
 struct DurableState {
     wal: Wal,
-    configs: BTreeMap<String, ColumnConfig>,
+    /// The registered configs (policies included) and, per column, the
+    /// ordinal of the last logged rebuild ([`WalRecord::Rebuild::seq`]).
+    /// Checkpoints persist the ordinal (inside
+    /// [`ConfigRecord::rebuild_seq`]) so a restarted leader never
+    /// reissues an ordinal a follower has already applied.
+    replayer: Replayer,
     /// The last `retain_generations` published generations, epochs
     /// strictly ascending; each entry is a full-store [`SnapshotSet`].
     ring: VecDeque<SnapshotSet>,
     /// Epoch of the last on-disk checkpoint (0 = none yet).
     last_checkpoint: u64,
-    /// Per column: the epoch of the last re-shard/rebuild attempt the
-    /// policy gates should measure their intervals from.
-    last_reshard_attempt: BTreeMap<String, u64>,
-    /// Per column: the lifetime-monotone ordinal of the last logged
-    /// shape change ([`WalRecord::Rebuild::seq`]). Checkpoints persist
-    /// it (inside [`ConfigRecord::rebuild_seq`]) so a restarted leader
-    /// never reissues an ordinal a follower has already applied.
-    rebuild_seqs: BTreeMap<String, u64>,
-    /// Per column: `(judged_epoch, judged_load)` — the autoscale rate
-    /// window floor, mirroring the inner store's own bookkeeping. Load
-    /// counters are cumulative per generation, so the rate window must
-    /// subtract the load already judged last time; resetting to
-    /// `(epoch, 0)` whenever a rebuild swaps the generation in keeps
-    /// the pair aligned with the counters it windows.
-    judged: BTreeMap<String, (u64, u64)>,
-    /// Per column: the *live* shape after the last shape-changing
-    /// rebuild, when it differs from the registration shape. Checkpoints
-    /// carry this (inside [`ConfigRecord::rebuilt`]) so a restore
-    /// re-applies the shape even after the rebuild records that produced
-    /// it are pruned.
-    shapes: BTreeMap<String, ShapeRecord>,
     /// `Some(why)` once a changelog append has failed. The inner store
     /// then holds an epoch the log does not — appending anything further
     /// would write an epoch gap that replay must refuse — so the store
@@ -265,27 +250,8 @@ impl DurableStore {
         let dir = dir.into();
         let (wal, records) = Wal::open(&dir, kind.tag(), opts.sync)?;
         let checkpoint = latest_checkpoint(&dir, kind.tag())?;
-        let (inner, configs) = restore_base(checkpoint.as_ref())?;
+        let (inner, replayer) = Replayer::restore(checkpoint.as_ref())?;
         let base = checkpoint.as_ref().map_or(0, |ckpt| ckpt.epoch);
-        // Seed the live-shape map from the checkpoint: `restore_base`
-        // already re-applied these shapes to the inner store; the map
-        // keeps them flowing into the *next* checkpoint too.
-        let mut shapes = BTreeMap::new();
-        // Likewise the rebuild ordinals: the records that issued them
-        // may be pruned, but the next shape change must still draw a
-        // fresh ordinal no follower has seen.
-        let mut rebuild_seqs = BTreeMap::new();
-        if let Some(ckpt) = checkpoint.as_ref() {
-            for col in &ckpt.columns {
-                if let Some(shape) = &col.config.rebuilt {
-                    shapes.insert(col.column.clone(), shape.clone());
-                }
-                if col.config.rebuild_seq > 0 {
-                    rebuild_seqs.insert(col.column.clone(), col.config.rebuild_seq);
-                }
-            }
-        }
-
         let store = DurableStore {
             inner,
             kind,
@@ -293,114 +259,49 @@ impl DurableStore {
             dir,
             state: Mutex::new(DurableState {
                 wal,
-                configs,
+                replayer,
                 ring: VecDeque::new(),
                 last_checkpoint: base,
-                last_reshard_attempt: BTreeMap::new(),
-                rebuild_seqs,
-                judged: BTreeMap::new(),
-                shapes,
                 poisoned: None,
             }),
         };
         store.replay(base, records)?;
-        // Open the autoscale rate window *at* the recovered state: the
-        // replayed load counters accumulated over epochs this process
-        // never judged, so counting them into the first live window
-        // would manufacture a burst that never happened.
+        // Arm the policies only now: the log already carries every
+        // decision they made, and the autoscale window opens *at* the
+        // recovered load — counting replayed load into the first live
+        // window would manufacture a burst that never happened.
         {
-            let mut st = store.lock();
-            let epoch = store.inner.epoch();
-            let armed: Vec<String> = st
-                .configs
-                .iter()
-                .filter(|(_, config)| config.autoscale.is_some())
-                .map(|(name, _)| name.clone())
-                .collect();
-            for column in armed {
-                let judged: u64 = store.inner.shard_load(&column)?.iter().sum();
-                st.judged.insert(column, (epoch, judged));
+            let st = store.lock();
+            for (column, config) in &st.replayer.configs {
+                store.inner.arm(column, config)?;
             }
         }
         Ok(store)
     }
 
     /// Replays the surviving changelog records onto the restored base
-    /// state, repopulating the time-travel ring along the way.
+    /// state, repopulating the time-travel ring along the way. The log
+    /// is this store's own, so past the checkpoint every record must be
+    /// new and gap-free.
     fn replay(&self, base: u64, records: Vec<WalRecord>) -> Result<(), DurableError> {
         let mut st = self.lock();
         for record in records {
-            match record {
-                WalRecord::Register { column, config } => {
-                    let config = config_from_record(&config)?;
-                    match st.configs.get(&column) {
-                        Some(live) if *live == config => {} // covered by the checkpoint
-                        Some(live) => {
-                            return Err(DurableError::Recovery(format!(
-                                "register record for '{column}' contradicts the checkpoint \
-                                 ({config:?} vs {live:?})"
-                            )));
-                        }
-                        None => {
-                            self.inner.register(&column, strip_policy(&config))?;
-                            st.configs.insert(column, config);
-                        }
-                    }
+            match st.replayer.replay(&self.inner, record)? {
+                Replayed::Committed => self.push_generation(&mut st)?,
+                Replayed::Rebuilt => self.refresh_ring_tail(&mut st)?,
+                Replayed::Covered(Some(epoch)) if epoch > base => {
+                    return Err(DurableError::Recovery(format!(
+                        "record for epoch {epoch} arrived out of order (store already at {})",
+                        self.inner.epoch()
+                    )));
                 }
-                WalRecord::Commit { epoch, columns } => {
-                    let at = self.inner.epoch();
-                    if epoch <= at {
-                        if epoch > base {
-                            return Err(DurableError::Recovery(format!(
-                                "commit record for epoch {epoch} arrived out of order \
-                                 (store already at {at})"
-                            )));
-                        }
-                        continue; // covered by the checkpoint
-                    }
-                    if epoch != at + 1 {
-                        return Err(DurableError::Recovery(format!(
-                            "epoch gap in changelog: store at {at}, next record is {epoch}"
-                        )));
-                    }
-                    let mut batch = WriteBatch::new();
-                    for (column, ops) in columns {
-                        batch.extend(&column, ops);
-                    }
-                    self.inner.commit(batch)?;
-                    self.push_generation(&mut st)?;
+                Replayed::Gap(epoch) => {
+                    return Err(DurableError::Recovery(format!(
+                        "epoch gap in changelog: store at {}, next record is for epoch {epoch}",
+                        self.inner.epoch()
+                    )));
                 }
-                WalRecord::Rebuild {
-                    column,
-                    barrier,
-                    seq,
-                    shards,
-                    spec,
-                    memory_bytes,
-                } => {
-                    st.last_reshard_attempt.insert(column.clone(), barrier);
-                    // Resume the ordinal sequence where the log left it,
-                    // even for records the checkpoint already covers —
-                    // the next live rebuild must not reissue an ordinal.
-                    st.rebuild_seqs.insert(column.clone(), seq);
-                    if barrier <= base {
-                        continue; // the checkpoint's rebuilt shape already reflects it
-                    }
-                    let at = self.inner.epoch();
-                    if barrier != at {
-                        return Err(DurableError::Recovery(format!(
-                            "rebuild record for '{column}' at barrier {barrier} does not \
-                             follow its commit (store at {at})"
-                        )));
-                    }
-                    // The record carries the plan's *deltas*; resolving
-                    // them against the store state at the same barrier
-                    // reproduces the live rebuild bit-identically.
-                    let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes)?;
-                    self.inner.rebuild(&column, plan)?;
-                    self.record_live_shape(&mut st, &column)?;
-                    self.refresh_ring_tail(&mut st)?;
-                }
+                Replayed::Registered | Replayed::Covered(_) => {}
             }
         }
         Ok(())
@@ -440,7 +341,7 @@ impl DurableStore {
         if self.opts.retain_generations == 0 {
             return Ok(());
         }
-        let names: Vec<&str> = st.configs.keys().map(String::as_str).collect();
+        let names: Vec<&str> = st.replayer.configs.keys().map(String::as_str).collect();
         let set = self.inner.snapshot_set(&names)?;
         st.ring.push_back(set);
         while st.ring.len() > self.opts.retain_generations {
@@ -455,111 +356,47 @@ impl DurableStore {
     fn refresh_ring_tail(&self, st: &mut DurableState) -> Result<(), CatalogError> {
         let epoch = self.inner.epoch();
         if st.ring.back().is_some_and(|set| set.epoch() == epoch) {
-            let names: Vec<&str> = st.configs.keys().map(String::as_str).collect();
+            let names: Vec<&str> = st.replayer.configs.keys().map(String::as_str).collect();
             *st.ring.back_mut().expect("checked above") = self.inner.snapshot_set(&names)?;
         }
         Ok(())
     }
 
-    /// Draws the next rebuild ordinal for `column` — lifetime-monotone,
-    /// so two shape changes at the same barrier (rebuilds publish no
-    /// epoch) still log as distinguishable records and a follower's
-    /// gap-rewind re-read cannot be confused with a distinct rebuild.
-    fn bump_rebuild_seq(st: &mut DurableState, column: &str) -> u64 {
-        let seq = st.rebuild_seqs.get(column).copied().unwrap_or(0) + 1;
-        st.rebuild_seqs.insert(column.to_string(), seq);
-        seq
+    /// Logs a rebuild that swapped `column`'s generation at `barrier`,
+    /// under the column's next ordinal — lifetime-monotone, so two shape
+    /// changes at the same barrier (rebuilds publish no epoch) still log
+    /// as distinguishable records and a follower's gap-rewind re-read
+    /// cannot be confused with a distinct rebuild.
+    fn log_rebuild(
+        st: &mut DurableState,
+        column: &str,
+        barrier: u64,
+        plan: &RebuildPlan,
+    ) -> Result<(), CatalogError> {
+        let record = WalRecord::Rebuild {
+            column: column.to_string(),
+            barrier,
+            seq: st.replayer.next_ordinal(column),
+            shards: plan.shards.map(|k| k as u64),
+            spec: plan.spec.map(|s| s.label()),
+            memory_bytes: plan.memory.map(|m| m.bytes() as u64),
+        };
+        Self::append(st, &record)
     }
 
-    /// Remembers the column's *live* shape after a shape-changing
-    /// rebuild, so the next checkpoint carries it (see
-    /// [`ConfigRecord::rebuilt`]).
-    fn record_live_shape(&self, st: &mut DurableState, column: &str) -> Result<(), CatalogError> {
-        if let Some(shape) = self.inner.column_shape(column)? {
-            st.shapes
-                .insert(column.to_string(), shape_to_record(&shape));
-        }
-        Ok(())
-    }
-
-    /// Everything that follows a logged publication: policy-driven
-    /// re-sharding and autoscaling (logged), the ring push, and the
-    /// checkpoint cadence.
-    fn after_commit(&self, st: &mut DurableState, epoch: u64) -> Result<(), CatalogError> {
-        let armed: Vec<(String, ReshardPolicy)> = st
-            .configs
-            .iter()
-            .filter_map(|(name, config)| config.reshard.map(|p| (name.clone(), p)))
-            .collect();
-        for (column, policy) in armed {
-            let since = epoch - st.last_reshard_attempt.get(&column).copied().unwrap_or(0);
-            if since < policy.min_interval_epochs.max(1) {
-                continue;
-            }
-            let loads = self.inner.shard_load(&column)?;
-            if loads.len() < 2 {
-                continue;
-            }
-            let total: u64 = loads.iter().sum();
-            if total < policy.min_load.max(1) {
-                continue;
-            }
-            let max = *loads.iter().max().expect("non-empty") as f64;
-            let mean = total as f64 / loads.len() as f64;
-            if max < policy.skew_threshold * mean {
-                continue;
-            }
-            st.last_reshard_attempt.insert(column.clone(), epoch);
-            if self.inner.reshard(&column)? {
-                // A border move is logged as a delta-less `Rebuild` so
-                // it draws an ordinal like every other shape change.
-                st.judged.insert(column.clone(), (epoch, 0));
-                let seq = Self::bump_rebuild_seq(st, &column);
-                Self::append(
-                    st,
-                    &rebuild_record(&column, epoch, seq, &RebuildPlan::new()),
-                )?;
-            }
-        }
-        let auto: Vec<(String, AutoscalePolicy)> = st
-            .configs
-            .iter()
-            .filter_map(|(name, config)| config.autoscale.map(|p| (name.clone(), p)))
-            .collect();
-        for (column, policy) in auto {
-            let (judged_epoch, judged_load) = st.judged.get(&column).copied().unwrap_or((0, 0));
-            let window_epochs = epoch.saturating_sub(judged_epoch);
-            if window_epochs < policy.min_interval_epochs.max(1) {
-                continue;
-            }
-            let loads = self.inner.shard_load(&column)?;
-            if loads.is_empty() {
-                continue;
-            }
-            // The rate window is everything since the last *judgment*:
-            // shard load counters are cumulative per generation, so the
-            // load already judged must be subtracted or a judgment that
-            // decides a plan without swapping the generation (e.g. a
-            // skew rebalance resolving to unchanged borders) would
-            // double-count its window into the next rate.
-            let total: u64 = loads.iter().sum();
-            let window_ops = total.saturating_sub(judged_load);
-            st.judged.insert(column.clone(), (epoch, total));
-            let Some(plan) = policy.decide(loads.len(), window_ops, window_epochs, &loads) else {
-                continue;
-            };
-            st.last_reshard_attempt.insert(column.clone(), epoch);
-            if self.inner.rebuild(&column, plan)? {
-                // The swap reset the load counters; re-floor the window
-                // to match, and log the *decision*, not the gates:
-                // replay re-applies the resolved plan at the same
-                // barrier instead of re-judging a window it cannot
-                // reconstruct.
-                st.judged.insert(column.clone(), (epoch, 0));
-                let seq = Self::bump_rebuild_seq(st, &column);
-                Self::append(st, &rebuild_record(&column, epoch, seq, &plan))?;
-                self.record_live_shape(st, &column)?;
-            }
+    /// Everything that follows a logged publication: the rebuilds the
+    /// inner store's policies ran (logged after the commit record — the
+    /// log carries the *decision*, so replay re-applies the plan at the
+    /// same barrier instead of re-judging a window it cannot
+    /// reconstruct), the ring push, and the checkpoint cadence.
+    fn after_commit(
+        &self,
+        st: &mut DurableState,
+        epoch: u64,
+        rebuilds: Vec<RebuildEvent>,
+    ) -> Result<(), CatalogError> {
+        for event in rebuilds {
+            Self::log_rebuild(st, &event.column, event.barrier, &event.plan)?;
         }
         self.push_generation(st)?;
         if let Some(every) = self.opts.checkpoint_every {
@@ -577,28 +414,35 @@ impl DurableStore {
     /// Composes the whole store at its current epoch into a checkpoint
     /// file, then rotates the changelog and removes covered segments.
     fn checkpoint_to_disk(&self, st: &mut DurableState) -> Result<u64, DurableError> {
-        let names: Vec<&str> = st.configs.keys().map(String::as_str).collect();
+        let names: Vec<&str> = st.replayer.configs.keys().map(String::as_str).collect();
         let set = self.inner.snapshot_set(&names)?;
         let epoch = set.epoch();
-        let columns = set
-            .iter()
-            .map(|(name, snap)| CheckpointColumn {
+        let mut columns = Vec::with_capacity(names.len());
+        for (name, snap) in set.iter() {
+            // Checkpoints (and only checkpoints) annotate the config
+            // with the live shape when a rebuild changed it: restore
+            // must reproduce it even after the rebuild records that
+            // produced it are pruned with the covered segments.
+            let config = &st.replayer.configs[name];
+            let mut record = config_to_record(config);
+            let shape = self.inner.shape(name)?;
+            let registered = (
+                config.spec,
+                config.memory,
+                config.plan.map_or(1, |plan| plan.shards()),
+            );
+            if (shape.spec, shape.memory, shape.shards) != registered {
+                record.rebuilt = Some(shape_to_record(&shape));
+            }
+            record.rebuild_seq = st.replayer.floor(name);
+            columns.push(CheckpointColumn {
                 column: name.to_string(),
-                config: {
-                    // Checkpoints (and only checkpoints) annotate the
-                    // config with the live rebuilt shape: restore must
-                    // reproduce it even after the rebuild records that
-                    // produced it are pruned with the covered segments.
-                    let mut record = config_to_record(&st.configs[name]);
-                    record.rebuilt = st.shapes.get(name).cloned();
-                    record.rebuild_seq = st.rebuild_seqs.get(name).copied().unwrap_or(0);
-                    record
-                },
+                config: record,
                 accepted: snap.checkpoint(),
                 updates: snap.updates(),
                 spans: snap.spans(),
-            })
-            .collect();
+            });
+        }
         write_checkpoint(&self.dir, self.kind.tag(), &Checkpoint { epoch, columns })?;
         st.wal.rotate(epoch + 1)?;
         // Prune segments back to the *oldest retained* checkpoint, not
@@ -683,28 +527,23 @@ impl fmt::Debug for DurableStore {
 }
 
 impl ColumnStore for DurableStore {
-    /// Registers through the changelog: the record carries the full
-    /// config (re-shard policy included); the inner store gets the
-    /// config *without* the policy, because the decorator evaluates the
-    /// gates itself so every border move is logged (see the
-    /// [module docs](self)).
+    /// Registers through the changelog: the record and the inner store
+    /// both get the full config, policies included — the inner store
+    /// judges them after each commit and the decorator logs what they
+    /// decide (see the [module docs](self)).
     fn register(&self, column: &str, config: ColumnConfig) -> Result<(), CatalogError> {
         let mut st = self.lock();
         Self::check_usable(&st)?;
-        if st.configs.contains_key(column) {
+        if st.replayer.configs.contains_key(column) {
             return Err(CatalogError::DuplicateColumn(column.into()));
         }
-        // The inner store never sees the policies (stripped below), so
-        // the decorator must apply the same validation the inner
-        // register would.
-        crate::sharded::validate_policies(&config)?;
         // Inner first: the inner store is the validator, and a record
         // logged for a registration that then fails would brick every
         // reopen. If the append after it fails, `append` poisons the
         // store, so the inner-only column can never be committed to or
         // survive a reopen — the log and the durable column set cannot
         // diverge.
-        self.inner.register(column, strip_policy(&config))?;
+        self.inner.register(column, config)?;
         Self::append(
             &mut st,
             &WalRecord::Register {
@@ -712,7 +551,7 @@ impl ColumnStore for DurableStore {
                 config: config_to_record(&config),
             },
         )?;
-        st.configs.insert(column.to_string(), config);
+        st.replayer.configs.insert(column.to_string(), config);
         Ok(())
     }
 
@@ -735,20 +574,20 @@ impl ColumnStore for DurableStore {
             .columns()
             .map(|c| (c.to_string(), batch.ops(c).unwrap_or(&[]).to_vec()))
             .collect();
-        let epoch = self.inner.commit(batch)?;
+        let (epoch, rebuilds) = self.inner.commit_judged(batch)?;
         // If this append fails the inner store has already published
         // `epoch`; a later successful append would leave a permanent
         // epoch gap that replay treats as corruption. `append` poisons
         // the store on failure so no later record can land past the gap.
         Self::append(&mut st, &WalRecord::Commit { epoch, columns })?;
-        self.after_commit(&mut st, epoch)?;
+        self.after_commit(&mut st, epoch, rebuilds)?;
         Ok(epoch)
     }
 
     fn apply(&self, column: &str, batch: &[UpdateOp]) -> Result<u64, CatalogError> {
         let mut st = self.lock();
         Self::check_usable(&st)?;
-        let checkpoint = self.inner.apply(column, batch)?;
+        let (checkpoint, rebuild) = self.inner.apply_judged(column, batch)?;
         // The lock serializes every publication, so the store's epoch
         // is the one this apply just published.
         let epoch = self.inner.epoch();
@@ -759,7 +598,7 @@ impl ColumnStore for DurableStore {
                 columns: vec![(column.to_string(), batch.to_vec())],
             },
         )?;
-        self.after_commit(&mut st, epoch)?;
+        self.after_commit(&mut st, epoch, rebuild.into_iter().collect())?;
         Ok(checkpoint)
     }
 
@@ -814,21 +653,7 @@ impl ColumnStore for DurableStore {
     ///
     /// [`Rebuild`]: WalRecord::Rebuild
     fn reshard(&self, column: &str) -> Result<bool, CatalogError> {
-        let mut st = self.lock();
-        Self::check_usable(&st)?;
-        let moved = self.inner.reshard(column)?;
-        let barrier = self.inner.epoch();
-        st.last_reshard_attempt.insert(column.to_string(), barrier);
-        if moved {
-            st.judged.insert(column.to_string(), (barrier, 0));
-            let seq = Self::bump_rebuild_seq(&mut st, column);
-            Self::append(
-                &mut st,
-                &rebuild_record(column, barrier, seq, &RebuildPlan::new()),
-            )?;
-            self.refresh_ring_tail(&mut st)?;
-        }
-        Ok(moved)
+        self.rebuild(column, RebuildPlan::new())
     }
 
     /// Explicit shape-changing rebuild, logged with the plan's deltas:
@@ -838,13 +663,8 @@ impl ColumnStore for DurableStore {
         let mut st = self.lock();
         Self::check_usable(&st)?;
         let moved = self.inner.rebuild(column, plan)?;
-        let barrier = self.inner.epoch();
-        st.last_reshard_attempt.insert(column.to_string(), barrier);
         if moved {
-            st.judged.insert(column.to_string(), (barrier, 0));
-            let seq = Self::bump_rebuild_seq(&mut st, column);
-            Self::append(&mut st, &rebuild_record(column, barrier, seq, &plan))?;
-            self.record_live_shape(&mut st, column)?;
+            Self::log_rebuild(&mut st, column, self.inner.epoch(), &plan)?;
             self.refresh_ring_tail(&mut st)?;
         }
         Ok(moved)
@@ -861,7 +681,7 @@ impl ColumnStore for DurableStore {
     /// [`CatalogError::UnknownColumn`] if absent.
     fn rebuild_seq(&self, column: &str) -> Result<u64, CatalogError> {
         self.inner.spec(column)?;
-        Ok(self.lock().rebuild_seqs.get(column).copied().unwrap_or(0))
+        Ok(self.lock().replayer.floor(column))
     }
 
     fn shard_load(&self, column: &str) -> Result<Vec<u64>, CatalogError> {
@@ -889,35 +709,10 @@ impl ColumnStore for DurableStore {
     }
 }
 
-/// What [`restore_base`] hands back: the freshly built store and the
-/// restored per-column config map.
-pub type RestoredBase = (ShardedCatalog, BTreeMap<String, ColumnConfig>);
-
-/// Builds a fresh store and seeds it from `checkpoint` when one is
-/// given, returning the store plus the restored config map (with
-/// re-shard policies intact — the store inside gets them stripped, see
-/// [`strip_policy`]). This is the recovery base both
-/// [`DurableStore::open`] and a read replica's checkpoint fallback
-/// start replaying the changelog tail onto.
-///
-/// # Errors
-/// [`DurableError::Recovery`] if the checkpoint is internally
-/// inconsistent; [`DurableError::Store`] if the store rejects a
-/// restored column.
-pub fn restore_base(checkpoint: Option<&Checkpoint>) -> Result<RestoredBase, DurableError> {
-    let mut configs = BTreeMap::new();
-    let store = ShardedCatalog::new();
-    if let Some(ckpt) = checkpoint {
-        restore_checkpoint(&store, ckpt, &mut configs)?;
-    }
-    Ok((store, configs))
-}
-
-/// `config` as the inner store should see it: identical, minus any
-/// re-shard or autoscale policy (the [`DurableStore`] decorator — and
-/// likewise a replica replaying its log — runs policy itself, so the
-/// inner store must never second-guess it).
-pub fn strip_policy(config: &ColumnConfig) -> ColumnConfig {
+/// `config` as replay registers it: identical, minus any re-shard or
+/// autoscale policy — the log carries every decision the policies made,
+/// so a replayed column must never judge on its own.
+pub(crate) fn strip_policy(config: &ColumnConfig) -> ColumnConfig {
     ColumnConfig {
         reshard: None,
         autoscale: None,
@@ -1002,41 +797,6 @@ pub fn config_from_record(record: &ConfigRecord) -> Result<ColumnConfig, Durable
     Ok(config)
 }
 
-/// Decodes the shape deltas of a logged [`WalRecord::Rebuild`] back into
-/// the [`RebuildPlan`] to replay — the shared leg of replaying a rebuild
-/// record, on recovery and on a replica alike.
-///
-/// # Errors
-/// [`DurableError::Recovery`] if the record names an unknown algorithm.
-pub fn plan_from_deltas(
-    shards: Option<u64>,
-    spec: Option<&str>,
-    memory_bytes: Option<u64>,
-) -> Result<RebuildPlan, DurableError> {
-    let mut plan = RebuildPlan::new();
-    plan.shards = shards.map(|k| k as usize);
-    if let Some(label) = spec {
-        plan.spec = Some(label.parse().map_err(|e| {
-            DurableError::Recovery(format!("unknown algorithm in rebuild record: {e}"))
-        })?);
-    }
-    plan.memory = memory_bytes.map(|bytes| MemoryBudget::from_bytes(bytes as usize));
-    Ok(plan)
-}
-
-/// The [`WalRecord`] a shape-changing rebuild logs: the plan's deltas
-/// plus the barrier epoch it executed at and its per-column ordinal.
-fn rebuild_record(column: &str, barrier: u64, seq: u64, plan: &RebuildPlan) -> WalRecord {
-    WalRecord::Rebuild {
-        column: column.to_string(),
-        barrier,
-        seq,
-        shards: plan.shards.map(|k| k as u64),
-        spec: plan.spec.map(|s| s.label()),
-        memory_bytes: plan.memory.map(|m| m.bytes() as u64),
-    }
-}
-
 /// Flattens a live [`ColumnShape`] into the [`ShapeRecord`] a checkpoint
 /// carries.
 fn shape_to_record(shape: &ColumnShape) -> ShapeRecord {
@@ -1064,12 +824,13 @@ fn shape_to_plan(shape: &ShapeRecord) -> Result<RebuildPlan, DurableError> {
 /// directly through the store's restore hook, applying ops synthesized
 /// from the checkpointed spans to rebuild the histogram mass. Cost is
 /// proportional to the checkpoint size, not the store's lifetime epoch
-/// count.
-fn restore_checkpoint(
+/// count. Returns the replayer seeded with the checkpoint's configs and
+/// rebuild ordinals.
+pub(crate) fn restore_checkpoint(
     inner: &ShardedCatalog,
     ckpt: &Checkpoint,
-    configs: &mut BTreeMap<String, ColumnConfig>,
-) -> Result<(), DurableError> {
+) -> Result<Replayer, DurableError> {
+    let mut replayer = Replayer::default();
     for col in &ckpt.columns {
         if col.accepted > ckpt.epoch {
             return Err(DurableError::Recovery(format!(
@@ -1079,7 +840,12 @@ fn restore_checkpoint(
         }
         let config = config_from_record(&col.config)?;
         inner.register(&col.column, strip_policy(&config))?;
-        configs.insert(col.column.clone(), config);
+        replayer.configs.insert(col.column.clone(), config);
+        if col.config.rebuild_seq > 0 {
+            replayer
+                .floors
+                .insert(col.column.clone(), col.config.rebuild_seq);
+        }
     }
     // Re-apply any rebuilt shape *before* seeding the mass, so the
     // synthesized ops route through the shape live readers last saw —
@@ -1090,7 +856,7 @@ fn restore_checkpoint(
         }
     }
     if ckpt.epoch == 0 {
-        return Ok(());
+        return Ok(replayer);
     }
     let images: Vec<RestoreColumn> = ckpt
         .columns
@@ -1107,7 +873,7 @@ fn restore_checkpoint(
         })
         .collect();
     inner.restore_at(ckpt.epoch, images)?;
-    Ok(())
+    Ok(replayer)
 }
 
 /// Turns checkpointed spans back into insert ops: integer per-span
@@ -1243,6 +1009,111 @@ mod tests {
         .unwrap();
         assert_eq!(store.epoch(), 1);
         assert_eq!(store.total_count("c").unwrap(), 1.0);
+    }
+
+    /// Drives a bare [`ShardedCatalog`] and a [`DurableStore`] through
+    /// the same registrations, rebuilds and applies, and checks after
+    /// every apply that the one judge made the same decisions on both.
+    /// Returns the bare store.
+    fn judged_alike(
+        columns: &[(&str, ColumnConfig)],
+        rebuilds: &[(&str, RebuildPlan)],
+        applies: &[(&str, Vec<UpdateOp>)],
+    ) -> ShardedCatalog {
+        let dir = dh_wal::tmp::TempDir::new("dur-judge");
+        let opts = DurableOptions {
+            sync: SyncPolicy::Off,
+            checkpoint_every: None,
+            retain_generations: 2,
+        };
+        let durable = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+        let bare = ShardedCatalog::new();
+        let stores: [&dyn ColumnStore; 2] = [&bare, &durable];
+        for store in stores {
+            for &(name, config) in columns {
+                store.register(name, config).unwrap();
+            }
+            for &(name, plan) in rebuilds {
+                assert!(store.rebuild(name, plan).unwrap());
+            }
+        }
+        let bits = |snap: Snapshot| -> Vec<(u64, u64, u64)> {
+            snap.spans()
+                .iter()
+                .map(|s| (s.lo.to_bits(), s.hi.to_bits(), s.count.to_bits()))
+                .collect()
+        };
+        for (i, (column, ops)) in applies.iter().enumerate() {
+            for store in stores {
+                store.apply(column, ops).unwrap();
+            }
+            for &(name, _) in columns {
+                assert_eq!(
+                    bare.rebuild_seq(name).unwrap(),
+                    durable.rebuild_seq(name).unwrap(),
+                    "'{name}' after apply {i}"
+                );
+                assert_eq!(
+                    bare.shard_map(name).unwrap(),
+                    durable.inner.shard_map(name).unwrap(),
+                    "'{name}' after apply {i}"
+                );
+                assert_eq!(
+                    bits(bare.snapshot(name).unwrap()),
+                    bits(durable.snapshot(name).unwrap()),
+                    "'{name}' after apply {i}"
+                );
+            }
+        }
+        bare
+    }
+
+    fn skewed() -> Vec<UpdateOp> {
+        (0..64).map(|i| UpdateOp::Insert(i * 3 % 200)).collect()
+    }
+
+    /// A policy judges the live shard count, not the registration plan:
+    /// a column registered with one shard and grown to four rebalances
+    /// on both stores alike.
+    #[test]
+    fn a_column_grown_from_one_shard_is_judged_alike() {
+        let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0))
+            .with_seed(3)
+            .with_plan(ShardPlan::new(0, 999, 1).unwrap())
+            .with_reshard(ReshardPolicy {
+                skew_threshold: 1.5,
+                min_interval_epochs: 1,
+                min_load: 1,
+            });
+        let applies = vec![("c", skewed()); 10];
+        let bare = judged_alike(
+            &[("c", config)],
+            &[("c", RebuildPlan::new().with_shards(4))],
+            &applies,
+        );
+        assert!(
+            bare.rebuild_seq("c").unwrap() > 1,
+            "the grown column never rebalanced"
+        );
+    }
+
+    /// A policy runs after a commit that touches its column, and only
+    /// then: commits to another column never re-shard it.
+    #[test]
+    fn a_commit_judges_only_the_columns_it_touched() {
+        let plain = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0));
+        let armed = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0))
+            .with_seed(5)
+            .with_plan(ShardPlan::new(0, 999, 4).unwrap())
+            .with_reshard(ReshardPolicy {
+                skew_threshold: 1.5,
+                min_interval_epochs: 5,
+                min_load: 1,
+            });
+        let mut applies = vec![("b", skewed())];
+        applies.extend((0..9).map(|v| ("a", vec![UpdateOp::Insert(v)])));
+        let bare = judged_alike(&[("a", plain), ("b", armed)], &[], &applies);
+        assert_eq!(bare.rebuild_seq("b").unwrap(), 0);
     }
 
     #[test]

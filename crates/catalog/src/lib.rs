@@ -51,6 +51,9 @@
 //!   tolerated, corruption typed), and a ring of retained generations
 //!   serving past-epoch [`ColumnStore::snapshot_set_at`] reads — see
 //!   `docs/DURABILITY.md`.
+//! * [`replay`] — [`Replayer`], the one rule for replaying that
+//!   changelog onto a store, shared by recovery, read replicas and site
+//!   catch-up.
 //!
 //! This crate (not `dh_core`) hosts `AlgoSpec` because building AC and
 //! the static baselines requires `dh_sample` and `dh_static`, which both
@@ -87,6 +90,7 @@ pub mod adapter;
 pub mod durable;
 pub mod global;
 pub mod read;
+pub mod replay;
 pub mod sharded;
 pub mod spec;
 pub mod store;
@@ -95,6 +99,7 @@ pub mod txn;
 pub use adapter::StaticRebuild;
 pub use durable::{DurableError, DurableOptions, DurableStore, StoreKind};
 pub use read::ReadStats;
+pub use replay::{Replayed, Replayer};
 pub use sharded::{
     AutoscalePolicy, ColumnShape, RebuildPlan, ReshardPolicy, ShardMap, ShardPlan, ShardedCatalog,
 };

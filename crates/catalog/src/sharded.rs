@@ -107,7 +107,7 @@ use crate::txn::{
 use dh_core::{BucketSpan, MemoryBudget, UpdateOp};
 use dh_distributed::superimpose;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// How a column is sharded at registration: its value domain and the
@@ -444,12 +444,8 @@ impl AutoscalePolicy {
     }
 }
 
-/// Validates the automatic-rebuild policies a registration carries —
-/// shared by [`ShardedCatalog::register`] and the `DurableStore`
-/// decorator, which strips the policies out of the config before the
-/// inner store ever sees them and must therefore reject a nonsensical
-/// policy itself.
-pub(crate) fn validate_policies(config: &ColumnConfig) -> Result<(), CatalogError> {
+/// Validates the automatic-rebuild policies a registration carries.
+fn validate_policies(config: &ColumnConfig) -> Result<(), CatalogError> {
     if let Some(policy) = config.reshard {
         if !policy.skew_threshold.is_finite() || policy.skew_threshold < 1.0 {
             return Err(CatalogError::InvalidShardPlan(format!(
@@ -763,6 +759,10 @@ impl Drop for StagedShards {
 /// at a time; policy-triggered attempts skip instead of queueing).
 #[derive(Default)]
 struct ReshardMeta {
+    /// The column's automatic-rebuild policies (see
+    /// [`ShardedCatalog::arm`] for columns armed after registration).
+    policy: Option<ReshardPolicy>,
+    autoscale: Option<AutoscalePolicy>,
     /// Completed generation rebuilds (border moves and shape changes).
     count: u64,
     /// Store epoch of the last rebuild *attempt* (swap or not), for
@@ -791,8 +791,9 @@ pub(crate) struct ShardedColumn {
     /// full-`i64` plan it was given).
     plan: ShardPlan,
     seed: u64,
-    policy: Option<ReshardPolicy>,
-    autoscale: Option<AutoscalePolicy>,
+    /// Whether the column carries a policy — read without the rebuild
+    /// mutex on every commit that touches it.
+    armed: AtomicBool,
     /// The live routing generation; replaced whole on re-shard.
     generation: RwLock<Arc<Generation>>,
     /// Ops whose value lay outside the registered domain and were
@@ -1129,11 +1130,21 @@ pub(crate) fn spread_inserts(vlo: i64, vhi: i64, n: u64, emit: &mut dyn FnMut(i6
 #[derive(Default)]
 pub struct ShardedCatalog {
     registry: Registry,
-    /// Whether any registered column carries a [`ReshardPolicy`] — lets
-    /// the commit path skip the policy bookkeeping (touched-column name
-    /// collection, post-commit lookups) entirely on stores that never
-    /// armed one, keeping their write path as lean as before.
-    armed: std::sync::atomic::AtomicBool,
+    /// Whether any registered column carries a policy — lets the commit
+    /// path skip the policy bookkeeping (touched-column name collection,
+    /// post-commit lookups) entirely on stores that never armed one,
+    /// keeping their write path as lean as before.
+    armed: AtomicBool,
+}
+
+/// A rebuild a column's policies ran after a commit touched it: the
+/// plan they decided and the barrier it ran at. The `DurableStore`
+/// decorator logs one [`Rebuild`](dh_wal::WalRecord::Rebuild) record
+/// per event, so replay re-runs the decision instead of re-judging it.
+pub(crate) struct RebuildEvent {
+    pub(crate) column: String,
+    pub(crate) barrier: u64,
+    pub(crate) plan: RebuildPlan,
 }
 
 impl ShardedCatalog {
@@ -1182,15 +1193,6 @@ impl ShardedCatalog {
         Ok(self.registry.get(column)?.generation().map.clone())
     }
 
-    /// How many times the column's generation has been swapped by a
-    /// rebuild (border moves and shape changes).
-    ///
-    /// # Errors
-    /// [`CatalogError::UnknownColumn`] if absent.
-    pub fn reshard_count(&self, column: &str) -> Result<u64, CatalogError> {
-        Ok(lock(&self.registry.get(column)?.reshard).count)
-    }
-
     /// Seeds a freshly built store to a checkpoint without replaying one
     /// publication per historical epoch (see [`Registry::restore_at`]) —
     /// the `DurableStore` decorator's restore path.
@@ -1202,18 +1204,90 @@ impl ShardedCatalog {
         self.registry.restore_at(epoch, images)
     }
 
-    /// Policy-gated rebuild attempt after a commit touched `column`.
-    fn maybe_rebuild(&self, column: &str) {
-        if let Ok(col) = self.registry.get(column) {
-            if col.policy.is_some() || col.autoscale.is_some() {
-                self.do_rebuild(&col, None, false);
-            }
+    /// Arms `config`'s policies on a column registered without them,
+    /// opening the autoscale window at the column's current load. A
+    /// recovered `DurableStore` replays its log into unarmed columns
+    /// (the log carries every decision) and arms them afterwards, so
+    /// replayed load never counts into the first live window.
+    pub(crate) fn arm(&self, column: &str, config: &ColumnConfig) -> Result<(), CatalogError> {
+        if config.reshard.is_none() && config.autoscale.is_none() {
+            return Ok(());
         }
+        let col = self.registry.get(column)?;
+        let mut meta = lock(&col.reshard);
+        meta.policy = config.reshard;
+        meta.autoscale = config.autoscale;
+        meta.judged_epoch = self.registry.epoch();
+        meta.judged_load = col
+            .generation()
+            .load
+            .iter()
+            .map(|l| l.load(Ordering::Relaxed))
+            .sum();
+        col.armed.store(true, Ordering::Relaxed);
+        self.armed.store(true, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// [`ColumnStore::commit`], plus the rebuilds the policies of the
+    /// columns it touched ran afterwards.
+    pub(crate) fn commit_judged(
+        &self,
+        batch: WriteBatch,
+    ) -> Result<(u64, Vec<RebuildEvent>), CatalogError> {
+        if !self.armed.load(Ordering::Relaxed) {
+            return Ok((self.registry.commit(batch)?, Vec::new()));
+        }
+        // Only armed columns are judged; the others' names are not
+        // worth cloning.
+        let columns: Vec<String> = batch
+            .columns()
+            .filter(|column| {
+                self.registry
+                    .get(column)
+                    .is_ok_and(|col| col.armed.load(Ordering::Relaxed))
+            })
+            .map(str::to_string)
+            .collect();
+        let epoch = self.registry.commit(batch)?;
+        let events = columns.iter().filter_map(|c| self.judge(c)).collect();
+        Ok((epoch, events))
+    }
+
+    /// [`ColumnStore::apply`], plus the rebuild the column's policies
+    /// ran afterwards.
+    pub(crate) fn apply_judged(
+        &self,
+        column: &str,
+        batch: &[UpdateOp],
+    ) -> Result<(u64, Option<RebuildEvent>), CatalogError> {
+        let checkpoint = self.registry.apply(column, batch)?;
+        let event = if self.armed.load(Ordering::Relaxed) {
+            self.judge(column)
+        } else {
+            None
+        };
+        Ok((checkpoint, event))
+    }
+
+    /// Lets the policies of a column a commit just touched judge it —
+    /// the one judge of every automatic rebuild.
+    fn judge(&self, column: &str) -> Option<RebuildEvent> {
+        let col = self.registry.get(column).ok()?;
+        if !col.armed.load(Ordering::Relaxed) {
+            return None;
+        }
+        let (plan, barrier) = self.do_rebuild(&col, None, false)?;
+        Some(RebuildEvent {
+            column: column.to_string(),
+            barrier,
+            plan,
+        })
     }
 
     /// Whether the column's re-shard policy gates all pass right now.
     fn policy_fires(&self, col: &ShardedColumn, meta: &ReshardMeta) -> bool {
-        let Some(policy) = col.policy else {
+        let Some(policy) = meta.policy else {
             return false;
         };
         if self.registry.epoch().saturating_sub(meta.last_epoch) < policy.min_interval_epochs {
@@ -1249,7 +1323,7 @@ impl ShardedCatalog {
         if self.policy_fires(col, meta) {
             return Some(RebuildPlan::new());
         }
-        let auto = col.autoscale?;
+        let auto = meta.autoscale?;
         let epoch = self.registry.epoch();
         let window_epochs = epoch.saturating_sub(meta.judged_epoch);
         if window_epochs < auto.min_interval_epochs.max(1) {
@@ -1270,8 +1344,9 @@ impl ShardedCatalog {
 
     /// The rebuild protocol — one code path for border rebalance,
     /// grow/shrink `k`, online algorithm migration, and memory
-    /// re-budgeting. Returns whether the generation was actually swapped
-    /// (the borders moved or the shape changed).
+    /// re-budgeting. Returns the executed plan and its barrier epoch if
+    /// the generation was actually swapped (the borders moved or the
+    /// shape changed).
     ///
     /// 1. **Pin** — take the column's rebuild mutex (forced calls
     ///    queue, policy-triggered ones skip if one is already running)
@@ -1298,9 +1373,14 @@ impl ShardedCatalog {
     /// ([`ReshardPolicy`] first, then [`AutoscalePolicy`]) — the
     /// post-commit path. `Some(plan)` executes that plan, gates
     /// bypassed.
-    fn do_rebuild(&self, col: &ShardedColumn, plan: Option<RebuildPlan>, forced: bool) -> bool {
+    fn do_rebuild(
+        &self,
+        col: &ShardedColumn,
+        plan: Option<RebuildPlan>,
+        forced: bool,
+    ) -> Option<(RebuildPlan, u64)> {
         let moved = self.do_rebuild_inner(col, plan, forced);
-        if moved {
+        if moved.is_some() {
             // A rebuild replaces the column's cells *without* publishing
             // an epoch, so the front generation (and its predicate cache)
             // must be force-re-rendered at the same epoch — a reader must
@@ -1317,23 +1397,20 @@ impl ShardedCatalog {
         col: &ShardedColumn,
         plan: Option<RebuildPlan>,
         forced: bool,
-    ) -> bool {
+    ) -> Option<(RebuildPlan, u64)> {
         let mut meta = if forced {
             lock(&col.reshard)
         } else {
             match col.reshard.try_lock() {
                 Ok(guard) => guard,
                 Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-                Err(std::sync::TryLockError::WouldBlock) => return false,
+                Err(std::sync::TryLockError::WouldBlock) => return None,
             }
         };
         let plan = match plan {
             Some(plan) => plan,
             None if forced => RebuildPlan::new(),
-            None => match self.policy_decides(col, &mut meta) {
-                Some(plan) => plan,
-                None => return false,
-            },
+            None => self.policy_decides(col, &mut meta)?,
         };
 
         // How many times a *forced* rebuild re-ingests outside the
@@ -1371,15 +1448,12 @@ impl ShardedCatalog {
             let shards = plan.shards.unwrap_or_else(|| slot.map.shards());
             let reshapes =
                 spec != slot.spec || memory != slot.memory || shards != slot.map.shards();
-            let map = match ShardMap::balanced(&composed, slot.map.domain(), shards) {
-                Ok(map) => map,
-                Err(_) => return false,
-            };
+            let map = ShardMap::balanced(&composed, slot.map.domain(), shards).ok()?;
             if !reshapes && map == slot.map {
                 // Nothing to change: same shape, borders already optimal
                 // (a single-shard rebalance always lands here — one
                 // shard has no borders to move).
-                return false;
+                return None;
             }
             // The column's publication stamp as of the barrier: any
             // commit touching the column during an unlocked rebuild
@@ -1408,7 +1482,7 @@ impl ShardedCatalog {
                 meta.count += 1;
                 meta.judged_epoch = epoch;
                 meta.judged_load = 0;
-                return true;
+                return Some((plan, epoch));
             }
             drop(slot);
             let cells = rebuild(epoch);
@@ -1422,7 +1496,7 @@ impl ShardedCatalog {
                 if forced {
                     continue;
                 }
-                return false;
+                return None;
             }
             *slot = Generation::install(map, spec, memory, cells);
             meta.count += 1;
@@ -1430,7 +1504,7 @@ impl ShardedCatalog {
             // autoscale throughput window restarts with them.
             meta.judged_epoch = epoch;
             meta.judged_load = 0;
-            return true;
+            return Some((plan, epoch));
         }
         unreachable!("the rebuild loop always returns")
     }
@@ -1443,7 +1517,9 @@ impl ColumnStore for ShardedCatalog {
     /// budget is divided across the shards with the remainder bytes
     /// spread over the first shards (a `k`-sharded column spends exactly
     /// the same total bytes as a one-shard one); the seed is salted per
-    /// shard. A `config.reshard` policy arms automatic re-sharding.
+    /// shard. A `config.reshard` or `config.autoscale` policy arms
+    /// automatic rebuilds, judged on the live shard count (a column
+    /// registered with one shard and grown later rebalances too).
     fn register(&self, column: &str, config: ColumnConfig) -> Result<(), CatalogError> {
         // `ShardPlan::new` is the single validation point: plans cannot
         // be constructed degenerate, so `plan` is valid here.
@@ -1452,6 +1528,7 @@ impl ColumnStore for ShardedCatalog {
             None => ShardPlan::new(i64::MIN, i64::MAX, 1)?,
         };
         validate_policies(&config)?;
+        let armed = config.reshard.is_some() || config.autoscale.is_some();
         let budgets = split_budget(config.memory, plan.shards());
         let inserted = self.registry.insert(column, || {
             let cells: Vec<Arc<Cell>> = budgets
@@ -1472,8 +1549,7 @@ impl ColumnStore for ShardedCatalog {
                 spec: config.spec,
                 plan,
                 seed: config.seed,
-                policy: config.reshard,
-                autoscale: config.autoscale,
+                armed: AtomicBool::new(armed),
                 generation: RwLock::new(Generation::install(
                     map,
                     config.spec,
@@ -1481,13 +1557,15 @@ impl ColumnStore for ShardedCatalog {
                     cells,
                 )),
                 clamped: AtomicU64::new(0),
-                reshard: Mutex::new(ReshardMeta::default()),
+                reshard: Mutex::new(ReshardMeta {
+                    policy: config.reshard,
+                    autoscale: config.autoscale,
+                    ..ReshardMeta::default()
+                }),
                 stamp: Mutex::new(ColumnStamp::default()),
             }
         });
-        if inserted.is_ok()
-            && ((config.reshard.is_some() && plan.shards() > 1) || config.autoscale.is_some())
-        {
+        if inserted.is_ok() && armed {
             self.armed.store(true, Ordering::Relaxed);
         }
         inserted
@@ -1506,33 +1584,11 @@ impl ColumnStore for ShardedCatalog {
     }
 
     fn commit(&self, batch: WriteBatch) -> Result<u64, CatalogError> {
-        if !self.armed.load(Ordering::Relaxed) {
-            return self.registry.commit(batch);
-        }
-        // Only policy-armed columns need post-commit bookkeeping; the
-        // others' names are not worth cloning.
-        let columns: Vec<String> = batch
-            .columns()
-            .filter(|column| {
-                self.registry.get(column).is_ok_and(|col| {
-                    (col.policy.is_some() && col.plan.shards() > 1) || col.autoscale.is_some()
-                })
-            })
-            .map(str::to_string)
-            .collect();
-        let epoch = self.registry.commit(batch)?;
-        for column in &columns {
-            self.maybe_rebuild(column);
-        }
-        Ok(epoch)
+        Ok(self.commit_judged(batch)?.0)
     }
 
     fn apply(&self, column: &str, batch: &[UpdateOp]) -> Result<u64, CatalogError> {
-        let checkpoint = self.registry.apply(column, batch)?;
-        if self.armed.load(Ordering::Relaxed) {
-            self.maybe_rebuild(column);
-        }
-        Ok(checkpoint)
+        Ok(self.apply_judged(column, batch)?.0)
     }
 
     /// Drains every shard of `column` up to the current published epoch.
@@ -1595,7 +1651,7 @@ impl ColumnStore for ShardedCatalog {
             ));
         }
         let col = self.registry.get(column)?;
-        Ok(self.do_rebuild(&col, Some(plan), true))
+        Ok(self.do_rebuild(&col, Some(plan), true).is_some())
     }
 
     /// The live shape ([`ShardedCatalog::shape`]) behind the object-safe
@@ -1607,12 +1663,13 @@ impl ColumnStore for ShardedCatalog {
         self.shape(column).map(Some)
     }
 
-    /// The generation-swap count ([`ShardedCatalog::reshard_count`]).
+    /// How many times the column's generation has been swapped by a
+    /// rebuild (border moves and shape changes).
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if absent.
     fn rebuild_seq(&self, column: &str) -> Result<u64, CatalogError> {
-        self.reshard_count(column)
+        Ok(lock(&self.registry.get(column)?.reshard).count)
     }
 
     /// Ops routed into each shard since the current shard map was
@@ -2010,6 +2067,39 @@ mod tests {
         }
     }
 
+    /// A plan-less column spans all of `i64`, so its histograms meet
+    /// the extreme values: their unit upper edge must not overflow.
+    #[test]
+    fn extreme_values_keep_plan_less_columns_finite() {
+        for spec in [AlgoSpec::Dc, AlgoSpec::Dvo, AlgoSpec::Dado] {
+            for extremes_first in [false, true] {
+                let cat = ShardedCatalog::new();
+                cat.register(
+                    "c",
+                    ColumnConfig::new(spec, MemoryBudget::from_kb(1.0)).with_seed(2),
+                )
+                .unwrap();
+                let extremes = [UpdateOp::Insert(i64::MAX), UpdateOp::Insert(i64::MIN)];
+                let ordinary: Vec<UpdateOp> =
+                    (0..400).map(|i| UpdateOp::Insert(i * 37 % 1000)).collect();
+                if extremes_first {
+                    cat.apply("c", &extremes).unwrap();
+                }
+                cat.apply("c", &ordinary).unwrap();
+                if !extremes_first {
+                    cat.apply("c", &extremes).unwrap();
+                }
+                let snap = cat.snapshot("c").unwrap();
+                let total = snap.total_count();
+                assert!((total - 402.0).abs() < 1e-9, "{spec}: total {total}");
+                for span in snap.spans() {
+                    assert!(span.lo <= span.hi, "{spec}: inverted {span:?}");
+                    assert!(span.count.is_finite(), "{spec}: {span:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn plan_less_columns_are_one_full_domain_shard() {
         let cat = ShardedCatalog::new();
@@ -2177,7 +2267,7 @@ mod tests {
         );
 
         assert!(cat.reshard("a").unwrap(), "skewed borders must move");
-        assert_eq!(cat.reshard_count("a").unwrap(), 1);
+        assert_eq!(cat.rebuild_seq("a").unwrap(), 1);
         let map = cat.shard_map("a").unwrap();
         assert_ne!(map, ShardMap::equal_width((0, 999), 4).unwrap());
         // Load counters reset with the new generation.
@@ -2220,7 +2310,6 @@ mod tests {
         assert!(cat.shard_load("ghost").is_err());
         assert!(cat.clamped_ops("ghost").is_err());
         assert!(cat.reshard("ghost").is_err());
-        assert!(cat.reshard_count("ghost").is_err());
         assert!(cat.rebuild_seq("ghost").is_err());
         assert!(!cat.contains("ghost"));
         assert!(cat.is_empty());

@@ -345,7 +345,8 @@ pub trait ColumnStore: Send + Sync {
 
     /// The column's rebuild ordinal: how many generation swaps it has
     /// applied — for a `DurableStore`, the ordinal of the last rebuild
-    /// it logged, which survives a reopen. Replaying another store's
+    /// it logged, which survives a reopen; for a read replica, the
+    /// ordinal of the last one it replayed. Replaying another store's
     /// changelog onto this one skips every rebuild record whose ordinal
     /// is at or below it. `0` for stores that never rebuild.
     ///

@@ -121,7 +121,7 @@ impl DataDistribution {
     /// embedding**: value `v` occupies `[v, v+1)`, so its mass registers at
     /// breakpoint `v + 1`.
     pub fn step_cdf(&self) -> StepCdf {
-        StepCdf::from_counts(self.iter().map(|(v, c)| ((v + 1) as f64, c as f64)))
+        StepCdf::from_counts(self.iter().map(|(v, c)| (v as f64 + 1.0, c as f64)))
     }
 
     /// The exact *continuous* CDF of this distribution: one unit-width
@@ -134,7 +134,7 @@ impl DataDistribution {
     pub fn exact_cdf(&self) -> crate::bucket::HistogramCdf {
         crate::bucket::HistogramCdf::from_spans(
             self.iter()
-                .map(|(v, c)| crate::bucket::BucketSpan::new(v as f64, (v + 1) as f64, c as f64))
+                .map(|(v, c)| crate::bucket::BucketSpan::new(v as f64, v as f64 + 1.0, c as f64))
                 .collect(),
         )
     }

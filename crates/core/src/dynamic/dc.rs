@@ -156,7 +156,7 @@ impl DcHistogram {
                 v as f64
             } else {
                 let prev = values[i - 1].0;
-                ((prev + 1) as f64 + v as f64) / 2.0
+                (prev as f64 + 1.0 + v as f64) / 2.0
             };
             buckets.push(DcBucket {
                 lo,
@@ -164,7 +164,7 @@ impl DcHistogram {
                 singular: false,
             });
         }
-        let hi = (values.last().expect("nonempty").0 + 1) as f64;
+        let hi = values.last().expect("nonempty").0 as f64 + 1.0;
         let mut active = Active {
             buckets,
             hi,
@@ -363,7 +363,7 @@ impl Active {
                 .collect();
             self.hi = pinned
                 .last()
-                .map(|p| (p.value + 1) as f64)
+                .map(|p| p.value as f64 + 1.0)
                 .unwrap_or(domain_hi);
             self.rebuild_chi2();
             return;
@@ -492,7 +492,7 @@ impl ReadHistogram for DcHistogram {
         match &self.state {
             State::Loading { counts, .. } => counts
                 .iter()
-                .map(|(&v, &c)| BucketSpan::new(v as f64, (v + 1) as f64, c as f64))
+                .map(|(&v, &c)| BucketSpan::new(v as f64, v as f64 + 1.0, c as f64))
                 .collect(),
             State::Active(a) => a.segments(),
         }
@@ -544,7 +544,7 @@ impl DynHistogram for DcHistogram {
                     a.bump(0, 1.0);
                 } else if x >= a.hi {
                     let last = a.buckets.len() - 1;
-                    a.hi = (v + 1) as f64;
+                    a.hi = v as f64 + 1.0;
                     let b = &mut a.buckets[last];
                     if b.singular {
                         b.singular = false;

@@ -210,14 +210,14 @@ impl<P: DeviationPolicy> MultiSubHistogram<P> {
             let lo = if i == 0 {
                 v as f64
             } else {
-                ((values[i - 1].0 + 1) as f64 + v as f64) / 2.0
+                (values[i - 1].0 as f64 + 1.0 + v as f64) / 2.0
             };
             let hi = if i + 1 < values.len() {
-                ((v + 1) as f64 + values[i + 1].0 as f64) / 2.0
+                (v as f64 + 1.0 + values[i + 1].0 as f64) / 2.0
             } else {
-                (v + 1) as f64
+                v as f64 + 1.0
             };
-            let unit = BucketSpan::new(v as f64, (v + 1) as f64, c as f64);
+            let unit = BucketSpan::new(v as f64, v as f64 + 1.0, c as f64);
             buckets.push(MBucket::from_segments(lo, hi, self.subs, &[unit]));
         }
         self.state = MState::Active { buckets, total };
@@ -280,7 +280,7 @@ impl<P: DeviationPolicy> ReadHistogram for MultiSubHistogram<P> {
         match &self.state {
             MState::Loading { counts, .. } => counts
                 .iter()
-                .map(|(&v, &c)| BucketSpan::new(v as f64, (v + 1) as f64, c as f64))
+                .map(|(&v, &c)| BucketSpan::new(v as f64, v as f64 + 1.0, c as f64))
                 .collect(),
             MState::Active { buckets, .. } => buckets.iter().flat_map(|b| b.segments()).collect(),
         }
@@ -329,7 +329,7 @@ impl<P: DeviationPolicy> DynHistogram for MultiSubHistogram<P> {
                         buckets.insert(0, b);
                         0usize
                     } else {
-                        let hi = ((v + 1) as f64).max(last_hi + 1.0);
+                        let hi = (v as f64 + 1.0).max(last_hi + 1.0);
                         let mut b = MBucket::new(last_hi, hi, self.subs);
                         let s = b.sub_of(x);
                         b.counts[s] = 1.0;

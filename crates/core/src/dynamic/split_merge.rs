@@ -231,12 +231,12 @@ impl<P: DeviationPolicy> SplitMergeHistogram<P> {
             let lo = if i == 0 {
                 v as f64
             } else {
-                ((values[i - 1].0 + 1) as f64 + v as f64) / 2.0
+                (values[i - 1].0 as f64 + 1.0 + v as f64) / 2.0
             };
             let hi = if i + 1 < values.len() {
-                ((v + 1) as f64 + values[i + 1].0 as f64) / 2.0
+                (v as f64 + 1.0 + values[i + 1].0 as f64) / 2.0
             } else {
-                (v + 1) as f64
+                v as f64 + 1.0
             };
             buckets.push(SmBucket {
                 lo,
@@ -245,13 +245,16 @@ impl<P: DeviationPolicy> SplitMergeHistogram<P> {
                 right: 0.0,
             });
         }
-        // Deposit each value's mass into the sub-halves it overlaps.
+        // Deposit each value's mass into the sub-halves it overlaps. The
+        // right half takes the rest of the mass, not its own integral:
+        // the unit span of `i64::MAX` rounds to a point at the bucket's
+        // upper edge, which no half-open half would count.
         for (i, &(v, c)) in values.iter().enumerate() {
             let b = &mut buckets[i];
-            let unit = BucketSpan::new(v as f64, (v + 1) as f64, c as f64);
-            let mid = b.mid();
-            b.left += unit.mass_in(b.lo, mid);
-            b.right += unit.mass_in(mid, b.hi);
+            let unit = BucketSpan::new(v as f64, v as f64 + 1.0, c as f64);
+            let left = unit.mass_in(b.lo, b.mid());
+            b.left += left;
+            b.right += c as f64 - left;
         }
         self.state = State::Active { buckets, total };
     }
@@ -338,7 +341,7 @@ impl<P: DeviationPolicy> ReadHistogram for SplitMergeHistogram<P> {
         match &self.state {
             State::Loading { counts, .. } => counts
                 .iter()
-                .map(|(&v, &c)| BucketSpan::new(v as f64, (v + 1) as f64, c as f64))
+                .map(|(&v, &c)| BucketSpan::new(v as f64, v as f64 + 1.0, c as f64))
                 .collect(),
             State::Active { buckets, .. } => buckets
                 .iter()
@@ -407,7 +410,7 @@ impl<P: DeviationPolicy> DynHistogram for SplitMergeHistogram<P> {
                         0
                     } else {
                         let lo = buckets.last().expect("nonempty").hi;
-                        let hi = ((v + 1) as f64).max(lo + 1.0);
+                        let hi = (v as f64 + 1.0).max(lo + 1.0);
                         let mid = (lo + hi) / 2.0;
                         let (l, r) = if x < mid { (1.0, 0.0) } else { (0.0, 1.0) };
                         buckets.push(SmBucket {

@@ -298,7 +298,7 @@ mod tests {
         fn spans(&self) -> Vec<BucketSpan> {
             self.counts
                 .iter()
-                .map(|(&v, &c)| BucketSpan::new(v as f64, (v + 1) as f64, c))
+                .map(|(&v, &c)| BucketSpan::new(v as f64, v as f64 + 1.0, c))
                 .collect()
         }
     }

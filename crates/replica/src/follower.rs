@@ -1,15 +1,13 @@
 //! The follower: continuous changelog replay behind a swappable
 //! serving state.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-use dh_catalog::durable::{config_from_record, plan_from_deltas, restore_base, strip_policy};
 use dh_catalog::{
     AlgoSpec, CatalogError, ColumnConfig, ColumnShape, ColumnStore, DurableError, ReadStats,
-    RebuildPlan, ShardedCatalog, Snapshot, SnapshotSet, StoreKind, WriteBatch,
+    RebuildPlan, Replayed, Replayer, ShardedCatalog, Snapshot, SnapshotSet, StoreKind, WriteBatch,
 };
 use dh_core::UpdateOp;
 use dh_wal::segment::latest_checkpoint;
@@ -62,13 +60,9 @@ struct ServingState {
 /// calls cannot interleave replay.
 struct TailState {
     reader: TailReader,
-    configs: BTreeMap<String, ColumnConfig>,
-    /// Per column, the highest rebuild ordinal
-    /// ([`WalRecord::Rebuild::seq`]) already applied. Rebuilds dedup on
-    /// the ordinal, not the barrier: rebuilds publish no epoch, so two
-    /// distinct rebuilds can legitimately share a barrier, and only the
-    /// ordinal tells them apart from a gap-rewind re-read.
-    rebuilt: BTreeMap<String, u64>,
+    /// The replay rule's state for the serving store: its configs and
+    /// per-column rebuild-ordinal floors.
+    replayer: Replayer,
 }
 
 /// A read replica: tails a leader's changelog directory and serves the
@@ -122,8 +116,7 @@ impl Follower {
         let dir = dir.into();
         let checkpoint = load_checkpoint(&dir, kind)?;
         let base = checkpoint.as_ref().map_or(0, |ckpt| ckpt.epoch);
-        let (store, configs) = restore_base(checkpoint.as_ref())?;
-        let rebuilt = checkpoint.as_ref().map(seed_rebuilt).unwrap_or_default();
+        let (store, replayer) = Replayer::restore(checkpoint.as_ref())?;
         let mut reader = TailReader::new(&dir, kind.tag());
         if base > 0 {
             reader.seek(base);
@@ -132,11 +125,7 @@ impl Follower {
             dir,
             kind,
             serving: RwLock::new(Arc::new(ServingState { store })),
-            tail: Mutex::new(TailState {
-                reader,
-                configs,
-                rebuilt,
-            }),
+            tail: Mutex::new(TailState { reader, replayer }),
             hint: AtomicU64::new(base),
         })
     }
@@ -183,23 +172,16 @@ impl Follower {
     /// [`PollStatus::Stalled`] or an empty
     /// [`PollStatus::CaughtUp`] and resolve on later polls.
     pub fn poll(&self) -> Result<PollReport, DurableError> {
-        let mut tail = self
-            .tail
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut tail = self.tail();
         let serving = self.current();
         let mut applied = 0u64;
         let polled = tail.reader.poll()?;
         let status = match polled.status {
             TailStatus::Lost => self.fall_back(&mut tail, &mut applied)?,
             TailStatus::CaughtUp => {
-                let TailState {
-                    configs, rebuilt, ..
-                } = &mut *tail;
                 match apply_records(
                     &serving.store,
-                    configs,
-                    rebuilt,
+                    &mut tail.replayer,
                     polled.records,
                     &mut applied,
                 )? {
@@ -249,12 +231,11 @@ impl Follower {
             tail.reader.seek(old_epoch);
             return Ok(PollStatus::Stalled);
         };
-        let (store, mut configs) = restore_base(Some(&ckpt))?;
-        // Seed the rebuild-ordinal floor from the checkpoint: a rebuild
-        // record at exactly the checkpoint epoch is still in the log
-        // tail, and only its ordinal proves it is already inside the
-        // restored shape.
-        let mut rebuilt = seed_rebuilt(&ckpt);
+        // The replayer's rebuild-ordinal floor comes from the checkpoint:
+        // a rebuild record at exactly the checkpoint epoch is still in
+        // the log tail, and only its ordinal tells whether the restored
+        // shape already includes it.
+        let (store, mut replayer) = Replayer::restore(Some(&ckpt))?;
         let mut reader = TailReader::new(&self.dir, self.kind.tag());
         reader.seek(ckpt.epoch);
         let polled = reader.poll()?;
@@ -266,13 +247,7 @@ impl Follower {
                 return Ok(PollStatus::Stalled);
             }
             TailStatus::CaughtUp => matches!(
-                apply_records(
-                    &store,
-                    &mut configs,
-                    &mut rebuilt,
-                    polled.records,
-                    &mut restored_applied,
-                )?,
+                apply_records(&store, &mut replayer, polled.records, &mut restored_applied)?,
                 Applied::Clean
             ),
         };
@@ -296,9 +271,14 @@ impl Follower {
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner()) = Arc::new(ServingState { store });
         tail.reader = reader;
-        tail.configs = configs;
-        tail.rebuilt = rebuilt;
+        tail.replayer = replayer;
         Ok(PollStatus::Restored)
+    }
+
+    fn tail(&self) -> MutexGuard<'_, TailState> {
+        self.tail
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     fn current(&self) -> Arc<ServingState> {
@@ -333,91 +313,22 @@ fn load_checkpoint(
     Ok(latest_checkpoint(dir, kind.tag())?)
 }
 
-/// The per-column rebuild ordinals a checkpoint proves applied — the
-/// dedup floor replay starts from after a checkpoint restore.
-fn seed_rebuilt(ckpt: &dh_wal::Checkpoint) -> BTreeMap<String, u64> {
-    ckpt.columns
-        .iter()
-        .filter(|col| col.config.rebuild_seq > 0)
-        .map(|col| (col.column.clone(), col.config.rebuild_seq))
-        .collect()
-}
-
-/// Replays records onto a serving store, mirroring the leader-side
-/// recovery replay — with one deliberate difference: where recovery
-/// treats an epoch gap as unreplayable corruption (the leader owns its
-/// log; a gap there is data loss), a follower treats it as a segment
-/// that has not arrived yet and reports [`Applied::Gap`] for a retry.
+/// Replays records onto a serving store by the changelog's one replay
+/// rule ([`Replayer`]). Where recovery treats an epoch gap as
+/// unreplayable corruption (the leader owns its log; a gap there is
+/// data loss), a follower treats it as a segment that has not arrived
+/// yet and reports [`Applied::Gap`] for a retry.
 fn apply_records(
     store: &ShardedCatalog,
-    configs: &mut BTreeMap<String, ColumnConfig>,
-    rebuilt: &mut BTreeMap<String, u64>,
+    replayer: &mut Replayer,
     records: Vec<WalRecord>,
     applied: &mut u64,
 ) -> Result<Applied, DurableError> {
     for record in records {
-        match record {
-            WalRecord::Register { column, config } => {
-                let config = config_from_record(&config)?;
-                match configs.get(&column) {
-                    // Re-read after a seek, or covered by the restored
-                    // checkpoint.
-                    Some(live) if *live == config => {}
-                    Some(live) => {
-                        return Err(DurableError::Recovery(format!(
-                            "register record for '{column}' contradicts the replica's \
-                             config ({config:?} vs {live:?})"
-                        )));
-                    }
-                    None => {
-                        store.register(&column, strip_policy(&config))?;
-                        configs.insert(column, config);
-                    }
-                }
-            }
-            WalRecord::Commit { epoch, columns } => {
-                let at = store.epoch();
-                if epoch <= at {
-                    continue; // re-read overlap after a seek
-                }
-                if epoch != at + 1 {
-                    return Ok(Applied::Gap);
-                }
-                let mut batch = WriteBatch::new();
-                for (column, ops) in columns {
-                    batch.extend(&column, ops);
-                }
-                store.commit(batch)?;
-                *applied += 1;
-            }
-            WalRecord::Rebuild {
-                column,
-                barrier,
-                seq,
-                shards,
-                spec,
-                memory_bytes,
-            } => {
-                let at = store.epoch();
-                if barrier < at || rebuilt.get(&column).is_some_and(|&s| seq <= s) {
-                    // The leader appends under one lock, so the byte
-                    // stream is a prefix in epoch order: a commit past
-                    // `barrier` proves this rebuild was already
-                    // replayed or checkpoint-covered.
-                    // At the barrier itself only the ordinal decides:
-                    // rebuilds publish no epoch, so a *distinct* second
-                    // rebuild at the same barrier (seq above the floor)
-                    // must apply, while a gap-rewind re-read (seq at or
-                    // below it) must not.
-                    continue;
-                }
-                if barrier > at {
-                    return Ok(Applied::Gap);
-                }
-                let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes)?;
-                store.rebuild(&column, plan)?;
-                rebuilt.insert(column, seq);
-            }
+        match replayer.replay(store, record)? {
+            Replayed::Committed => *applied += 1,
+            Replayed::Gap(_) => return Ok(Applied::Gap),
+            Replayed::Registered | Replayed::Rebuilt | Replayed::Covered(_) => {}
         }
     }
     Ok(Applied::Clean)
@@ -499,6 +410,16 @@ impl ColumnStore for Follower {
 
     fn column_shape(&self, column: &str) -> Result<Option<ColumnShape>, CatalogError> {
         self.current().store.column_shape(column)
+    }
+
+    /// The replay floor: the ordinal of the last rebuild this follower
+    /// applied for `column` (or its restored checkpoint covered).
+    ///
+    /// # Errors
+    /// [`CatalogError::UnknownColumn`] if absent.
+    fn rebuild_seq(&self, column: &str) -> Result<u64, CatalogError> {
+        self.current().store.spec(column)?;
+        Ok(self.tail().replayer.floor(column))
     }
 
     fn shard_load(&self, column: &str) -> Result<Vec<u64>, CatalogError> {

@@ -5,18 +5,15 @@
 //! This is `dh_replica`'s follower replay, one hop out: instead of
 //! tailing a changelog *directory*, [`catch_up`] pulls the records over
 //! the [`Site::tail`] surface (a [`TailReader`](dh_wal::tail::TailReader)
-//! running inside the source site) and applies them with the same
-//! idempotent rules — re-read registers and already-applied commits are
-//! skipped, an epoch gap stops the replay instead of corrupting the
-//! target, and each rebuild replays exactly once, across calls too:
-//! the dedup floor is the target's own rebuild ordinal
-//! ([`ColumnStore::rebuild_seq`]). The rules are written down as the
-//! *catch-up rule* in `docs/GLOBAL.md`.
+//! running inside the source site) and applies them by the changelog's
+//! one replay rule ([`Replayer`]). An epoch gap stops the replay instead
+//! of corrupting the target, and each rebuild replays exactly once,
+//! across calls too: a fresh replayer starts each column's dedup floor
+//! at the target's own rebuild ordinal ([`ColumnStore::rebuild_seq`]).
+//! The reaction to a gap is the *catch-up rule* in `docs/GLOBAL.md`.
 
 use crate::site::{Site, SiteError};
-use dh_catalog::durable::{config_from_record, plan_from_deltas, strip_policy};
-use dh_catalog::{CatalogError, ColumnConfig, ColumnStore, WriteBatch};
-use dh_wal::WalRecord;
+use dh_catalog::{CatalogError, ColumnStore, DurableError, Replayed, Replayer};
 
 /// What one [`catch_up`] call accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,61 +52,21 @@ pub fn catch_up(
     from: u64,
 ) -> Result<CatchUp, SiteError> {
     let tail = source.tail(from)?;
+    let mut replayer = Replayer::default();
     let mut applied = 0u64;
     let mut clean = true;
-    'replay: for record in tail.records {
-        match record {
-            WalRecord::Register { column, config } => {
-                let config =
-                    config_from_record(&config).map_err(|e| SiteError::Remote(e.to_string()))?;
-                if target.contains(&column) {
-                    check_config_matches(target, &column, &config)?;
-                } else {
-                    target.register(&column, strip_policy(&config))?;
-                }
+    for record in tail.records {
+        let replayed = replayer.replay(target, record).map_err(|e| match e {
+            DurableError::Store(e) => SiteError::Store(e),
+            other => SiteError::Store(CatalogError::Durability(other.to_string())),
+        })?;
+        match replayed {
+            Replayed::Committed => applied += 1,
+            Replayed::Gap(_) => {
+                clean = false; // stop before corrupting the target
+                break;
             }
-            WalRecord::Commit { epoch, columns } => {
-                let at = target.epoch();
-                if epoch <= at {
-                    continue; // overlap below the requested epoch
-                }
-                if epoch != at + 1 {
-                    clean = false; // a gap: stop before corrupting
-                    break 'replay;
-                }
-                let mut batch = WriteBatch::new();
-                for (column, ops) in columns {
-                    batch.extend(&column, ops);
-                }
-                target.commit(batch)?;
-                applied += 1;
-            }
-            WalRecord::Rebuild {
-                column,
-                barrier,
-                seq,
-                shards,
-                spec,
-                memory_bytes,
-            } => {
-                let at = target.epoch();
-                if barrier > at {
-                    clean = false;
-                    break 'replay;
-                }
-                if barrier < at || seq <= target.rebuild_seq(&column)? {
-                    // Covered by the target's state — or, at the barrier
-                    // itself, a re-read of an ordinal the target already
-                    // applied (on this call or an earlier one). Rebuilds
-                    // publish no epoch, so a *distinct* second rebuild at
-                    // the same barrier carries a higher ordinal and must
-                    // apply.
-                    continue;
-                }
-                let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes)
-                    .map_err(|e| SiteError::Remote(e.to_string()))?;
-                target.rebuild(&column, plan)?;
-            }
+            Replayed::Registered | Replayed::Rebuilt | Replayed::Covered(_) => {}
         }
     }
     Ok(CatchUp {
@@ -119,26 +76,6 @@ pub fn catch_up(
     })
 }
 
-/// A register record for a column the target already hosts must agree
-/// with the live config — the same contradiction check the follower
-/// replay makes, expressed against the store surface.
-fn check_config_matches(
-    target: &dyn ColumnStore,
-    column: &str,
-    config: &ColumnConfig,
-) -> Result<(), SiteError> {
-    let live = target.spec(column)?;
-    if live == config.spec {
-        Ok(())
-    } else {
-        Err(SiteError::Store(CatalogError::Durability(format!(
-            "register record for '{column}' contradicts the target's algorithm \
-             ({:?} vs live {live:?})",
-            config.spec
-        ))))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +83,7 @@ mod tests {
     use crate::site::LocalSite;
     use crate::RemoteSite;
     use dh_catalog::durable::{DurableOptions, DurableStore, StoreKind};
-    use dh_catalog::{AlgoSpec, RebuildPlan, ShardPlan, ShardedCatalog};
+    use dh_catalog::{AlgoSpec, ColumnConfig, RebuildPlan, ShardPlan, ShardedCatalog, WriteBatch};
     use dh_core::{MemoryBudget, ReadHistogram};
     use dh_wal::tmp::TempDir;
     use dh_wal::SyncPolicy;
@@ -249,7 +186,7 @@ mod tests {
 
         // Rebuilds at the target's own epoch catch up once; a repeat
         // call re-reads their records at that barrier and must skip them.
-        let mut swaps = target.reshard_count("c").unwrap();
+        let mut swaps = target.rebuild_seq("c").unwrap();
         for plan in [
             RebuildPlan::new().with_shards(2),
             RebuildPlan::new(),
@@ -265,7 +202,7 @@ mod tests {
                 assert!(again.caught_up);
                 assert_eq!(again.applied, 0);
                 assert_eq!(
-                    target.reshard_count("c").unwrap(),
+                    target.rebuild_seq("c").unwrap(),
                     swaps,
                     "call {call} after {plan:?} re-applied a rebuild"
                 );

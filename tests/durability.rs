@@ -727,9 +727,8 @@ fn autoscale_window_is_not_inflated_by_no_swap_judgments() {
 /// Policy registration rejects an autoscale policy without rate
 /// hysteresis: with `scale_down_rate >= scale_up_rate` (and scale-up
 /// judged first) every window above the up-gate doubles the shard
-/// count and no window can ever halve it. The decorator strips
-/// policies before the inner store sees them, so it must make the
-/// same check itself.
+/// count and no window can ever halve it. The decorator hands the full
+/// config to its inner store, whose registration makes the check.
 #[test]
 fn autoscale_registration_requires_rate_hysteresis() {
     let bad = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0))
@@ -791,4 +790,80 @@ fn recovered_updates_counter_is_historical() {
     assert_eq!(snap.updates(), 80);
     let total = store.total_count(COL).unwrap();
     assert!((total - 40.0).abs() < 1e-6, "net mass {total} drifted");
+}
+
+/// A rebuild logged after a checkpoint but at the checkpoint's own epoch
+/// (rebuilds publish no epoch) is not covered by that checkpoint: its
+/// ordinal is above the checkpoint's `rebuild_seq`. A reopened leader
+/// must replay it exactly as a follower on the same directory does, so
+/// both agree with the live leader on shape, ordinal and mass.
+#[test]
+fn rebuild_at_the_checkpoint_epoch_survives_reopen() {
+    for spec in [AlgoSpec::Dc, AlgoSpec::Dado] {
+        let dir = TempDir::new("dur-rebuild-at-ckpt");
+        let opts = DurableOptions {
+            sync: SyncPolicy::Off,
+            checkpoint_every: None,
+            retain_generations: 2,
+        };
+        let config = ColumnConfig::new(spec, MemoryBudget::from_kb(1.0))
+            .with_seed(11)
+            .with_plan(ShardPlan::new(0, 999, 4).unwrap());
+        let skewed = |e: i64| -> Vec<UpdateOp> {
+            (0..40)
+                .map(|i| UpdateOp::Insert((e * 13 + i * 7) % 250))
+                .collect()
+        };
+        let (live_shape, live_seq, live_total) = {
+            let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+            leader.register(COL, config).unwrap();
+            for e in 0..10 {
+                leader.apply(COL, &skewed(e)).unwrap();
+            }
+            leader.checkpoint_now().unwrap();
+            assert!(leader
+                .rebuild(COL, RebuildPlan::new().with_shards(8))
+                .unwrap());
+            for e in 10..20 {
+                leader.apply(COL, &skewed(e)).unwrap();
+            }
+            (
+                leader.column_shape(COL).unwrap().unwrap(),
+                leader.rebuild_seq(COL).unwrap(),
+                leader.total_count(COL).unwrap(),
+            )
+        };
+        assert_eq!(live_shape.shards, 8);
+        assert_eq!(live_seq, 1);
+
+        let follower = Follower::open(dir.path(), StoreKind::Sharded).unwrap();
+        follower.poll().unwrap();
+        let leader = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+        for (name, store) in [
+            ("reopened leader", &leader as &dyn ColumnStore),
+            ("follower", &follower),
+        ] {
+            assert_eq!(store.epoch(), 20, "{spec}: {name}");
+            assert_eq!(
+                store.column_shape(COL).unwrap().unwrap(),
+                live_shape,
+                "{spec}: {name} lost the rebuild at the checkpoint epoch"
+            );
+            assert_eq!(store.rebuild_seq(COL).unwrap(), live_seq, "{spec}: {name}");
+            let total = store.total_count(COL).unwrap();
+            assert!(
+                (total - live_total).abs() < 1e-6,
+                "{spec}: {name} mass {total}"
+            );
+        }
+        // Both replayed the same checkpoint and tail by the same rule.
+        let bits = |store: &dyn ColumnStore| -> Vec<(u64, u64, u64)> {
+            let snap = store.snapshot(COL).unwrap();
+            snap.spans()
+                .iter()
+                .map(|s| (s.lo.to_bits(), s.hi.to_bits(), s.count.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&leader), bits(&follower), "{spec}");
+    }
 }

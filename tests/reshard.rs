@@ -261,7 +261,7 @@ fn policy_fires_automatically_and_rebalances() {
         cat.apply("c", &batch).unwrap();
     }
     assert!(
-        cat.reshard_count("c").unwrap() >= 1,
+        cat.rebuild_seq("c").unwrap() >= 1,
         "policy must have fired on an 8x-skewed load"
     );
     assert!((cat.total_count("c").unwrap() - total as f64).abs() < 1e-6);
